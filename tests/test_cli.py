@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -180,20 +181,42 @@ def test_text_format(tmp_path):
     assert b"t_N: 1" in res.stdout
 
 
+# (golden file name, CLI arguments, input document or None)
+GOLDEN_FIXTURES = [
+    ("phin-analyze", ["phin-analyze", "--seed", "3"], TATE_CURVE),
+    ("phin-netcoh", ["phin-netcoh"], NETCOH_D2),
+    ("ss-cech", ["ss-cech"], TRIANGLE_NERVE),
+    ("ss-steenbrink", ["ss-steenbrink"], CYCLE3_STEENBRINK),
+    ("ss-pages", ["ss-pages"], D2_COMPLEX),
+    ("drinfeld-ball", ["drinfeld-ball", "--d", "1", "--p", "2", "--n", "2"], None),
+    ("drinfeld-arrangement", ["drinfeld-arrangement", "--r", "2", "--q", "3"], None),
+    ("drinfeld-blowup", ["drinfeld-blowup", "--r", "2", "--q", "3"], None),
+    ("drinfeld-counts", ["drinfeld-counts", "--d", "2", "--q", "2", "--i", "2"], None),
+]
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def run_fixture(tmp_path, name, args, obj):
+    path = write(tmp_path, f"{name}.json", obj) if obj is not None else None
+    return run_cli(args, path=path)
+
+
 def test_determinism_golden(tmp_path):
-    fixtures = [
-        (["phin-analyze", "--seed", "3"], write(tmp_path, "a.json", TATE_CURVE)),
-        (["phin-netcoh"], write(tmp_path, "b.json", NETCOH_D2)),
-        (["ss-cech"], write(tmp_path, "c.json", TRIANGLE_NERVE)),
-        (["ss-steenbrink"], write(tmp_path, "d.json", CYCLE3_STEENBRINK)),
-        (["ss-pages"], write(tmp_path, "e.json", D2_COMPLEX)),
-        (["drinfeld-ball", "--d", "1", "--p", "2", "--n", "2"], None),
-        (["drinfeld-arrangement", "--r", "2", "--q", "3"], None),
-        (["drinfeld-blowup", "--r", "2", "--q", "3"], None),
-        (["drinfeld-counts", "--d", "2", "--q", "2", "--i", "2"], None),
-    ]
-    for args, path in fixtures:
-        first = run_cli(args, path=path)
-        second = run_cli(args, path=path)
+    for name, args, obj in GOLDEN_FIXTURES:
+        first = run_fixture(tmp_path, name, args, obj)
+        second = run_fixture(tmp_path, name, args, obj)
         assert first.returncode == 0, (args, first.stderr)
         assert first.stdout == second.stdout  # byte identical
+
+
+def test_golden_reports_frozen(tmp_path):
+    """Each report equals its frozen file in tests/golden/ byte for byte.
+
+    A change that alters a report on purpose rewrites the file (the
+    command's stdout on the fixture) and says why in CHANGES.md.
+    """
+    for name, args, obj in GOLDEN_FIXTURES:
+        res = run_fixture(tmp_path, name, args, obj)
+        assert res.returncode == 0, (args, res.stderr)
+        assert res.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes(), name
