@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 
-Rat = Fraction
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -77,7 +79,7 @@ class QMatrix:
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, tuple(Fraction(1 if i == j else 0)
+        return QMatrix(n, n, tuple(_ONE if i == j else _ZERO
                                    for i in range(n) for j in range(n)))
 
     @staticmethod
@@ -117,17 +119,20 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        n = other.cols
+        # other's nonzero entries, as integers over one common denominator
+        b_rows = [_sparse_row(other.row(k)) for k in range(other.rows)]
+        b_den = _lcm({d for _, d in b_rows})
+        sparse = [[(j, y * (b_den // d)) for j, y in r] for r, d in b_rows]
         ent = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = Fraction(0)
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        s += a * other.entry(k, j)
-                ent.append(s)
-        return QMatrix(self.rows, other.cols, tuple(ent))
+            a_row, a_den = _sparse_row(self.row(i))
+            acc = [0] * n
+            for k, a in a_row:
+                for j, y in sparse[k]:
+                    acc[j] += a * y
+            ent.extend(_fractions(acc, a_den * b_den))
+        return QMatrix(self.rows, n, tuple(ent))
 
     def power(self, k: int) -> "QMatrix":
         if self.rows != self.cols:
@@ -141,8 +146,15 @@ class QMatrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
-        return tuple(sum((self.entry(i, k) * rat(vec[k]) for k in range(self.cols)),
-                         Fraction(0)) for i in range(self.rows))
+        nonzero, x_den = _sparse_row(map(rat, vec))
+        out = []
+        for i in range(self.rows):
+            row = self.row(i)
+            terms = [(row[k], y) for k, y in nonzero if row[k]]
+            den = _lcm({a.denominator for a, _ in terms})
+            s = sum(a.numerator * (den // a.denominator) * y for a, y in terms)
+            out.append(Fraction(s, den * x_den) if s else _ZERO)
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -178,30 +190,71 @@ class QMatrix:
         return [[rat_str(x) for x in self.row(i)] for i in range(self.rows)]
 
 
+def _lcm(values) -> int:
+    """Least common multiple of positive integers; 1 for none."""
+    out = 1
+    for d in values:
+        if d != 1:
+            out = out * d // gcd(out, d)
+    return out
+
+
+def _integer_row(row) -> list:
+    """The row scaled to coprime integers; a zero row stays zero."""
+    row = [x if type(x) is Fraction else rat(x) for x in row]
+    den = _lcm({x.denominator for x in row})
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _sparse_row(row) -> tuple:
+    """(pairs, den): the nonzero entries of a row of rationals as
+    (index, integer) pairs over den, the lcm of their denominators."""
+    nonzero = [(k, x) for k, x in enumerate(row) if x]
+    den = _lcm({x.denominator for _, x in nonzero})
+    return [(k, x.numerator * (den // x.denominator)) for k, x in nonzero], den
+
+
+def _fractions(ints: list, den: int) -> list:
+    """The Fractions x / den for x in ints."""
+    return [_ONE if x == den else Fraction(x, den) if x else _ZERO for x in ints]
+
+
+def _primitive(ints: list) -> list:
+    """ints divided by their gcd; a list of zeros (gcd 0) is returned as is."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def _rref(rows: list) -> tuple:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(map(rat, r)) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Fraction-free Gauss-Jordan: rows are scaled to integers and eliminated
+    by cross-multiplication, each kept primitive (divided by the gcd of its
+    entries) so entries stay small.  The surviving rows are divided by
+    their pivots at the end, which gives the unique RREF over Q.
+    """
+    m = [_integer_row(row) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        a = prow[c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if b and i != r:
+                m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [_fractions(row, row[c]) for row, c in zip(m, pivots)], pivots
 
 
 @dataclass(frozen=True)
@@ -278,8 +331,8 @@ def kernel(m: QMatrix) -> Subspace:
     free = [c for c in range(n) if c not in pivots]
     vecs = []
     for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        v = [_ZERO] * n
+        v[fc] = _ONE
         for i, pc in enumerate(pivots):
             v[pc] = -red[i][fc]
         vecs.append(v)
@@ -289,10 +342,6 @@ def kernel(m: QMatrix) -> Subspace:
 def image(m: QMatrix) -> Subspace:
     """Column span of m, in canonical form."""
     return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
-
-
-def row_space(m: QMatrix) -> Subspace:
-    return Subspace.from_vectors(m.cols, m.row_list())
 
 
 def rank(m: QMatrix) -> int:
@@ -446,13 +495,6 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Polynomial.from_coeffs(out)
-
-    def eval_at(self, x) -> Fraction:
-        x = rat(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def of_matrix(self, m: QMatrix) -> QMatrix:
         out = QMatrix.zero(m.rows, m.cols)

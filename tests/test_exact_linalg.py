@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weightfil.errors import PreconditionError
-from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, char_poly,
+from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, _rref, char_poly,
                                     image, kernel, newton_polygon, rank, rat,
                                     rat_str, subspace_intersect, subspace_sum)
 
@@ -173,3 +173,110 @@ def test_polygon_of_linear_factor_products():
         for s, l in np_.segments:
             got.extend([s] * l)
         assert got == [Fraction(k) for k in ks]
+
+
+# Oracles: the plain Fraction kernels that the integer kernels replaced.
+
+def oracle_rref(rows):
+    """Gauss-Jordan on Fractions; (nonzero RREF rows, pivot columns)."""
+    m = [list(map(rat, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def oracle_matmul(a, b):
+    ent = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = Fraction(0)
+            for k in range(a.cols):
+                if a.entry(i, k):
+                    s += a.entry(i, k) * b.entry(k, j)
+            ent.append(s)
+    return QMatrix(a.rows, b.cols, tuple(ent))
+
+
+def oracle_apply(m, vec):
+    return tuple(sum((m.entry(i, k) * rat(vec[k]) for k in range(m.cols)), Fraction(0))
+                 for i in range(m.rows))
+
+
+def _random_entry(rng, den_bits):
+    num = rng.randint(-(2 ** den_bits) - 3, 2 ** den_bits + 3)
+    x = Fraction(num, rng.randint(1, 2 ** den_bits))
+    form = rng.random()
+    if x.denominator == 1 and form < 0.3:
+        return x.numerator  # ints and strings are coerced like Fractions
+    if form < 0.4:
+        return rat_str(x)
+    return x
+
+
+def _random_rows(rng, nrows, ncols):
+    """Sparse and dense rows with duplicated, combined and all-zero rows."""
+    den_bits = rng.choice([0, 0, 2, 8, 40])
+    density = rng.choice([0.15, 0.4, 1.0])
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) >= 2 and kind < 0.3:
+            u, v = rng.sample(rows, 2)
+            c = rng.choice([Fraction(1), Fraction(-2), Fraction(3, 7)])
+            rows.append([rat(x) + c * rat(y) for x, y in zip(u, v)])
+        elif kind < 0.4:
+            rows.append([Fraction(0)] * ncols)
+        else:
+            rows.append([_random_entry(rng, den_bits) if rng.random() < density else 0
+                         for _ in range(ncols)])
+    return rows
+
+
+def test_rref_matches_oracle():
+    rng = random.Random(20240601)
+    for _ in range(2000):
+        rows = _random_rows(rng, rng.randint(0, 10), rng.randint(0, 10))
+        got = _rref(rows)
+        assert got == oracle_rref(rows), rows
+        assert all(type(x) is Fraction for row in got[0] for x in row)
+
+
+def test_rref_empty_inputs():
+    assert _rref([]) == ([], []) == oracle_rref([])
+    assert _rref([[]]) == ([], []) == oracle_rref([[]])
+    assert _rref([[], []]) == ([], [])
+
+
+def test_matmul_and_apply_match_oracle():
+    rng = random.Random(20240602)
+    for _ in range(1500):
+        r, k, c = rng.randint(0, 10), rng.randint(0, 10), rng.randint(0, 10)
+        a = QMatrix(r, k, tuple(rat(x) for row in _random_rows(rng, r, k) for x in row))
+        b = QMatrix(k, c, tuple(rat(x) for row in _random_rows(rng, k, c) for x in row))
+        got = a @ b
+        assert got == oracle_matmul(a, b)
+        assert all(type(x) is Fraction for x in got.entries)
+        vec = _random_rows(rng, 1, k)[0]
+        got = a.apply(vec)
+        assert got == oracle_apply(a, vec)
+        assert all(type(x) is Fraction for x in got)
