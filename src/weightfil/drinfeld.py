@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import EnumerationBudgetError, PreconditionError
 from .exact_linalg import QMatrix
-from .galois import GF, enumerate_subspaces
+from .galois import GF, enumerate_subspaces, factor_prime_power
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -97,17 +97,6 @@ class LatticeClass:
     @property
     def dim(self) -> int:
         return len(self.rep)
-
-    def det_valuation(self) -> int:
-        det = 1
-        for i in range(self.dim):
-            det *= self.rep[i][i]
-        v = 0
-        while det % self.p == 0:
-            det //= self.p
-            v += 1
-        assert det == 1
-        return v
 
     def sort_key(self) -> tuple:
         return self.rep
@@ -197,12 +186,6 @@ class BuildingBall:
     adjacency: set          # frozensets {i, j} of vertex indices
     distance: dict          # vertex index -> distance from center
 
-    def index_of(self, v: LatticeClass) -> int:
-        return self._index[v.rep]
-
-    def __post_init__(self):
-        self._index = {v.rep: i for i, v in enumerate(self.vertices)}
-
     def sphere(self, r: int) -> list:
         return [self.vertices[i] for i, dist in self.distance.items() if dist == r]
 
@@ -219,6 +202,13 @@ def ball(center: LatticeClass, n: int, p: int, d: int,
          budget: int = 100_000) -> BuildingBall:
     if n < 0:
         raise PreconditionError("radius must be >= 0")
+    try:
+        prime = factor_prime_power(p)[1] == 1
+    except PreconditionError:
+        prime = False
+    if not prime:
+        # the neighbour enumeration reads GF(p) element codes as integers mod p
+        raise PreconditionError(f"p must be a prime, got {p}")
     dist = {center.rep: 0}
     order = [center]
     frontier = [center]

@@ -183,30 +183,6 @@ class GF:
         return out
 
 
-def gf_rref(gf: GF, rows: list) -> list:
-    """Reduced row echelon form over F_q; returns nonzero rows."""
-    m = [list(r) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = gf.inv(m[r][c])
-        m[r] = [gf.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [gf.sub(a, gf.mul(f, b)) for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return m[:r]
-
-
 def gf_span_vectors(gf: GF, basis: list, n: int) -> list:
     """All vectors in the span of the given basis rows."""
     if not basis:

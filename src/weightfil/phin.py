@@ -15,12 +15,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InconclusiveError, ModuleInvariantError,
-                     NilpotencyBoundError, SlopeDecompositionError)
+from .errors import (InconclusiveError, ModuleInvariantError, NilpotencyBoundError,
+                     PreconditionError, SlopeDecompositionError)
 from .exact_linalg import (QMatrix, QuotientMap, Subspace, char_poly,
                            factor_rational_poly, image, kernel,
                            newton_polygon, rat, subspace_intersect, subspace_sum)
 from .filtration import DECREASING, INCREASING, IndexedFiltration
+from .galois import factor_prime_power
 
 INVARIANT_SUBSPACE_GUARD = 100_000
 
@@ -52,6 +53,12 @@ class PhiNModule:
 
 def validate(D: PhiNModule) -> PhiNModule:
     """Check every module invariant, naming the first one that fails."""
+    try:
+        prime = factor_prime_power(D.p)[1] == 1
+    except PreconditionError:
+        prime = False
+    if not prime:
+        raise ModuleInvariantError("p_prime", f"p = {D.p} is not a prime")
     n = D.dim
     if D.phi.rows != D.phi.cols or D.N.rows != D.N.cols or D.N.rows != n:
         raise ModuleInvariantError("shape", "phi and N must be square of equal size")

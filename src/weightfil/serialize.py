@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SchemaError
-from .exact_linalg import QMatrix, Subspace, rat, rat_str
+from .exact_linalg import QMatrix, Subspace, rat
 from .filtration import DECREASING, IndexedFiltration
 from .nerve import NerveDatum
 from .phin import PhiNModule
@@ -40,7 +40,7 @@ def _check_schema(obj: dict, what: str):
 
 
 def _parse_rat(x, what: str) -> Fraction:
-    if not isinstance(x, (str, int)):
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
         raise SchemaError(f"{what}: rationals must be strings or integers, got {x!r}")
     try:
         return rat(x)
@@ -234,18 +234,3 @@ def load_filtered_complex(obj: dict) -> FilteredComplex:
                               for p, q, sz in lst]
     fc = FilteredComplex(GradedComplex(spaces, diffs), filtration, blocks, labels)
     return fc.validate()
-
-
-# ---------------------------------------------------------------------------
-# writers
-
-def matrix_json(m: QMatrix) -> list:
-    return m.to_strings()
-
-
-def subspace_json(s: Subspace) -> list:
-    return s.to_strings()
-
-
-def fraction_json(x) -> str:
-    return rat_str(rat(x))

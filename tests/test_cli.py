@@ -174,6 +174,27 @@ def test_exit_code_precondition(tmp_path):
     assert b"commutation" in res.stderr
 
 
+def test_schema_error_boolean_rational(tmp_path):
+    obj = dict(TATE_CURVE, phi=[[True, "0"], ["0", "2"]])  # JSON true is not 1
+    res = run_cli(["phin-analyze"], path=write(tmp_path, "bool.json", obj))
+    assert res.returncode == 1
+    assert res.stderr.startswith(b"schema error:")
+
+
+def test_phin_analyze_rejects_non_prime_p(tmp_path):
+    # every other invariant holds: N phi = 4 phi N
+    obj = dict(TATE_CURVE, p=4, phi=[["1", "0"], ["0", "4"]])
+    res = run_cli(["phin-analyze"], path=write(tmp_path, "p4.json", obj))
+    assert res.returncode == 2
+    assert b"p_prime" in res.stderr
+
+
+def test_drinfeld_ball_rejects_non_prime_p():
+    res = run_cli(["drinfeld-ball", "--d", "1", "--p", "4", "--n", "1"])
+    assert res.returncode == 2
+    assert b"p must be a prime" in res.stderr
+
+
 def test_text_format(tmp_path):
     p = write(tmp_path, "tate.json", TATE_CURVE)
     res = run_cli(["phin-analyze", "--format", "text"], path=p)
