@@ -121,14 +121,18 @@ class QMatrix:
             raise ValueError("shape mismatch")
         n = other.cols
         # other's nonzero entries, as integers over one common denominator
-        b_rows = [_sparse_row(other.row(k)) for k in range(other.rows)]
-        b_den = _lcm({d for _, d in b_rows})
-        sparse = [[(j, y * (b_den // d)) for j, y in r] for r, d in b_rows]
+        b_rows = [[(j, b) for j, b in enumerate(other.row(k)) if b]
+                  for k in range(other.rows)]
+        b_den = _lcm({b.denominator for row in b_rows for _, b in row})
+        sparse = [[(j, b.numerator * (b_den // b.denominator)) for j, b in row]
+                  for row in b_rows]
         ent = []
         for i in range(self.rows):
-            a_row, a_den = _sparse_row(self.row(i))
+            a_row = [(k, a) for k, a in enumerate(self.row(i)) if a]
+            a_den = _lcm({a.denominator for _, a in a_row})
             acc = [0] * n
             for k, a in a_row:
+                a = a.numerator * (a_den // a.denominator)
                 for j, y in sparse[k]:
                     acc[j] += a * y
             ent.extend(_fractions(acc, a_den * b_den))
@@ -146,7 +150,9 @@ class QMatrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
-        nonzero, x_den = _sparse_row(map(rat, vec))
+        x = [(k, y) for k, y in enumerate(map(rat, vec)) if y]
+        x_den = _lcm({y.denominator for _, y in x})
+        nonzero = [(k, y.numerator * (x_den // y.denominator)) for k, y in x]
         out = []
         for i in range(self.rows):
             row = self.row(i)
@@ -203,15 +209,9 @@ def _integer_row(row) -> list:
     """The row scaled to coprime integers; a zero row stays zero."""
     row = [x if type(x) is Fraction else rat(x) for x in row]
     den = _lcm({x.denominator for x in row})
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
-
-
-def _sparse_row(row) -> tuple:
-    """(pairs, den): the nonzero entries of a row of rationals as
-    (index, integer) pairs over den, the lcm of their denominators."""
-    nonzero = [(k, x) for k, x in enumerate(row) if x]
-    den = _lcm({x.denominator for _, x in nonzero})
-    return [(k, x.numerator * (den // x.denominator)) for k, x in nonzero], den
+    if den > 1:
+        return _primitive([x.numerator * (den // x.denominator) for x in row])
+    return _primitive([x.numerator for x in row])
 
 
 def _fractions(ints: list, den: int) -> list:
