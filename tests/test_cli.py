@@ -213,6 +213,10 @@ GOLDEN_FIXTURES = [
     ("drinfeld-arrangement", ["drinfeld-arrangement", "--r", "2", "--q", "3"], None),
     ("drinfeld-blowup", ["drinfeld-blowup", "--r", "2", "--q", "3"], None),
     ("drinfeld-counts", ["drinfeld-counts", "--d", "2", "--q", "2", "--i", "2"], None),
+    # 3 x 3 lattice bases, GF(4) spans, and criterion 12's phin-check-mw
+    ("drinfeld-ball-d2", ["drinfeld-ball", "--d", "2", "--p", "2", "--n", "2"], None),
+    ("drinfeld-arrangement-q4", ["drinfeld-arrangement", "--r", "3", "--q", "4"], None),
+    ("phin-check-mw", ["phin-check-mw"], TATE_CURVE),
 ]
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
