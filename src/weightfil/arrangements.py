@@ -110,27 +110,35 @@ def _mobius_betti(q: int, r: int) -> tuple:
     F_q^(r+1)); the projective answer divides the cone polynomial by 1+u."""
     gf = GF(q)
     n = r + 1
-    # encode each subspace by the bitmask of its vectors for fast containment
-    elements = []  # (codim, mask)
+
+    def code(v):
+        idx = 0
+        for c in v:
+            idx = idx * q + c
+        return idx
+
+    # subspaces in order of codimension; contains[v] is the bitmask of the
+    # indices of the subspaces containing the vector with code v
+    bases = []
+    contains = [0] * q ** n
     for k in range(n, -1, -1):
         for rows in enumerate_subspaces(gf, n, k):
-            vecs = gf_span_vectors(gf, [list(x) for x in rows], n)
-            mask = 0
-            for v in vecs:
-                idx = 0
-                for c in v:
-                    idx = idx * q + c
-                mask |= 1 << idx
-            elements.append((n - k, mask))
-    elements.sort(key=lambda cm: cm[0])
-    mob = [0] * len(elements)
+            bit = 1 << len(bases)
+            bases.append((n - k, [code(x) for x in rows]))
+            for v in gf_span_vectors(gf, rows, n):
+                contains[code(v)] |= bit
+    mob = [0] * len(bases)
     whitney = [0] * (n + 1)
-    for i, (codim, mask) in enumerate(elements):
+    for i, (codim, rows) in enumerate(bases):
+        # the strict supersets of subspace i all come before it
+        sup = (1 << i) - 1
+        for x in rows:
+            sup &= contains[x]
         s = 0
-        for j in range(i):
-            cj, mj = elements[j]
-            if cj < codim and (mj & mask) == mask:
-                s += mob[j]
+        while sup:
+            j = sup.bit_length() - 1
+            s += mob[j]
+            sup ^= 1 << j
         mob[i] = 1 if codim == 0 else -s
         whitney[codim] += abs(mob[i])
     # divide sum |mu| u^codim (degree n) by 1 + u

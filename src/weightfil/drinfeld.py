@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import EnumerationBudgetError, PreconditionError
 from .exact_linalg import QMatrix
@@ -63,11 +64,11 @@ def hnf(rows: list) -> tuple:
     m = m[:r]
     if len(m) != n:
         raise PreconditionError("matrix rows do not span a full lattice")
-    # reduce entries above the pivots
-    for i in reversed(range(n)):
-        pc = next(c for c in range(n) if m[i][c])
+    # reduce entries above the pivots, left to right: row i is zero left of
+    # its pivot (column i), so it leaves the columns already reduced alone
+    for i in range(n):
         for k in range(i):
-            f = m[k][pc] // m[i][pc]
+            f = m[k][i] // m[i][i]
             if f:
                 m[k] = [a - f * b for a, b in zip(m[k], m[i])]
     return tuple(tuple(row) for row in m)
@@ -85,9 +86,10 @@ class LatticeClass:
     @staticmethod
     def from_rows(rows, p: int) -> "LatticeClass":
         mat = hnf(rows)
+        # an HNF divided by p is still an HNF
         while all(x % p == 0 for row in mat for x in row):
             mat = tuple(tuple(x // p for x in row) for row in mat)
-        return LatticeClass(hnf(mat), p)
+        return LatticeClass(mat, p)
 
     @staticmethod
     def base(d: int, p: int) -> "LatticeClass":
@@ -102,26 +104,33 @@ class LatticeClass:
         return self.rep
 
 
+def _subspace_lifts(p: int, n: int) -> list:
+    """One square integer basis M_W of {x in Z^n : x mod p in W} per nonzero
+    proper subspace W of F_p^n: the RREF rows of W plus p e_j for each
+    non-pivot column j.  The neighbour of rowspace(B) for W is
+    rowspace(M_W B)."""
+    gf = GF(p)
+    out = []
+    for s in range(1, n):
+        for sub_rows in enumerate_subspaces(gf, n, s):
+            pivots = {r.index(1) for r in sub_rows}
+            out.append([list(r) for r in sub_rows]
+                       + [[p if i == j else 0 for i in range(n)]
+                          for j in range(n) if j not in pivots])
+    return out
+
+
+def _neighbors(v: LatticeClass, p: int, lifts: list) -> list:
+    cols = list(zip(*v.rep))
+    out = [LatticeClass.from_rows([[sum(map(mul, w, c)) for c in cols] for w in m], p)
+           for m in lifts]
+    return sorted(out, key=LatticeClass.sort_key)
+
+
 def vertex_neighbors(v: LatticeClass, p: int, d: int) -> list:
     """All classes adjacent to v: one per nonzero proper subspace of the
     reduction of its representative mod p, in canonical form."""
-    n = d + 1
-    gf = GF(p)
-    basis = [list(r) for r in v.rep]
-    out = {}
-    for s in range(1, n):
-        for sub_rows in enumerate_subspaces(gf, n, s):
-            rows = []
-            for w in sub_rows:
-                vec = [0] * n
-                for c, b in zip(w, basis):
-                    if c:
-                        vec = [a + c * x for a, x in zip(vec, b)]
-                rows.append(vec)
-            rows.extend([p * x for x in b] for b in basis)
-            lc = LatticeClass.from_rows(rows, p)
-            out[lc.rep] = lc
-    return sorted(out.values(), key=LatticeClass.sort_key)
+    return _neighbors(v, p, _subspace_lifts(p, d + 1))
 
 
 def adjacency_subspace_dim(w: LatticeClass, v: LatticeClass, p: int):
@@ -209,13 +218,16 @@ def ball(center: LatticeClass, n: int, p: int, d: int,
     if not prime:
         # the neighbour enumeration reads GF(p) element codes as integers mod p
         raise PreconditionError(f"p must be a prime, got {p}")
+    lifts = _subspace_lifts(p, d + 1)
     dist = {center.rep: 0}
+    nbrs = {}   # rep -> neighbours, for every vertex inside radius n
     order = [center]
     frontier = [center]
     for r in range(1, n + 1):
         nxt = []
         for v in frontier:
-            for w in vertex_neighbors(v, p, d):
+            nbrs[v.rep] = _neighbors(v, p, lifts)
+            for w in nbrs[v.rep]:
                 if w.rep not in dist:
                     dist[w.rep] = r
                     order.append(w)
@@ -229,7 +241,8 @@ def ball(center: LatticeClass, n: int, p: int, d: int,
     index = {v.rep: i for i, v in enumerate(order)}
     adjacency = set()
     for i, v in enumerate(order):
-        for w in vertex_neighbors(v, p, d):
+        ws = nbrs[v.rep] if v.rep in nbrs else _neighbors(v, p, lifts)
+        for w in ws:
             j = index.get(w.rep)
             if j is not None and j != i:
                 adjacency.add(frozenset((i, j)))

@@ -185,16 +185,13 @@ class GF:
 
 def gf_span_vectors(gf: GF, basis: list, n: int) -> list:
     """All vectors in the span of the given basis rows."""
-    if not basis:
-        return [tuple([0] * n)]
-    out = []
-    for coeffs in product(range(gf.q), repeat=len(basis)):
-        v = [0] * n
-        for c, row in zip(coeffs, basis):
-            if c:
-                v = [gf.add(a, gf.mul(c, b)) for a, b in zip(v, row)]
-        out.append(tuple(v))
-    return sorted(set(out))
+    span = [(0,) * n]
+    add = gf.add_table
+    for row in basis:
+        multiples = [[gf.mul(c, x) for x in row] for c in range(1, gf.q)]
+        span += [tuple(add[a][b] for a, b in zip(v, m))
+                 for m in multiples for v in span]
+    return sorted(set(span))
 
 
 def enumerate_subspaces(gf: GF, n: int, k: int) -> list:

@@ -1,12 +1,50 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from weightfil.errors import EnumerationBudgetError, PreconditionError
-from weightfil.drinfeld import (LatticeClass, SimplexType,
+from weightfil.drinfeld import (LatticeClass, SimplexType, _rational_inverse,
                                 adjacency_subspace_dim, ball, gaussian_binomial,
                                 hnf, simplices_through_vertex, stratum_type,
                                 v_n_m, vertex_neighbors)
+from weightfil.exact_linalg import QMatrix
+from weightfil.galois import GF, enumerate_subspaces
+
+
+def _is_hnf(m) -> bool:
+    """Upper triangular, positive pivots, entries above a pivot in [0, pivot)."""
+    n = len(m)
+    return all(m[i][j] == 0 for i in range(n) for j in range(i)) and all(
+        m[i][i] > 0 and all(0 <= m[k][i] < m[i][i] for k in range(i))
+        for i in range(n))
+
+
+def _vertex_neighbors_oracle(v, p, d):
+    """The two-HNF neighbour route: stack the lifts of the subspace rows,
+    combined through v's basis, on p times that basis; reduce the
+    (s + n) x n rows, divide by p while possible, and reduce again."""
+    n = d + 1
+    gf = GF(p)
+    basis = [list(r) for r in v.rep]
+    out = {}
+    for s in range(1, n):
+        for sub_rows in enumerate_subspaces(gf, n, s):
+            rows = []
+            for w in sub_rows:
+                vec = [0] * n
+                for c, b in zip(w, basis):
+                    if c:
+                        vec = [a + c * x for a, x in zip(vec, b)]
+                rows.append(vec)
+            rows.extend([p * x for x in b] for b in basis)
+            mat = hnf(rows)
+            while all(x % p == 0 for row in mat for x in row):
+                mat = tuple(tuple(x // p for x in row) for row in mat)
+            lc = LatticeClass(hnf(mat), p)
+            out[lc.rep] = lc
+    return sorted(out.values(), key=LatticeClass.sort_key)
 
 
 def test_gaussian_binomial_values():
@@ -35,6 +73,28 @@ def test_hnf_canonical():
     assert hnf([[1, 0], [0, 1]]) == ((1, 0), (0, 1))
 
 
+def test_hnf_random_canonical_and_same_lattice():
+    rng = random.Random(20)
+    for n in (2, 3, 4, 5):
+        for _ in range(150):
+            rows = [[rng.randint(-6, 6) for _ in range(n)]
+                    for _ in range(n + rng.randint(0, 2))]
+            # the index of the row lattice is the gcd of the maximal minors
+            index = 0
+            for sub in combinations(rows, n):
+                index = gcd(index, int(QMatrix.from_rows(list(sub)).det()))
+            if index == 0:
+                continue
+            h = hnf(rows)
+            assert _is_hnf(h), (rows, h)
+            assert hnf(list(h)) == h
+            # same lattice: the input lies in the lattice of h, of equal index
+            h_inv = _rational_inverse(QMatrix.from_rows(h))
+            assert all(x.denominator == 1
+                       for x in (QMatrix.from_rows(rows) @ h_inv).entries)
+            assert QMatrix.from_rows(h).det() == index
+
+
 def test_lattice_class_canonical_per_homothety():
     p = 2
     v = LatticeClass.from_rows([[2, 0], [0, 2]], p)
@@ -53,6 +113,25 @@ def test_neighbor_count_formula():
     for d, p in ((1, 2), (1, 3), (2, 2), (2, 3)):
         expected = sum(gaussian_binomial(d + 1, s, p) for s in range(1, d + 1))
         assert len(vertex_neighbors(LatticeClass.base(d, p), p, d)) == expected
+
+
+def test_neighbors_match_two_hnf_oracle():
+    rng = random.Random(9)
+    for d, p, radius, picks in ((1, 3, 3, 8), (2, 2, 2, 6), (3, 2, 1, 4)):
+        b = ball(LatticeClass.base(d, p), radius, p, d)
+        for v in rng.sample(b.vertices, picks):
+            assert vertex_neighbors(v, p, d) == _vertex_neighbors_oracle(v, p, d)
+
+
+def test_ball_d3_reps_canonical_and_distinct():
+    # a non-canonical hnf listed two classes of this ball twice (1,918
+    # vertices, 15,704 edges)
+    b = ball(LatticeClass.base(3, 2), 2, 2, 3)
+    assert len(b.vertices) == 1916
+    assert len(b.adjacency) == 15670
+    reps = [v.rep for v in b.vertices]
+    assert len(set(reps)) == len(reps)
+    assert all(_is_hnf(r) and any(x % 2 for row in r for x in row) for r in reps)
 
 
 def test_ball_counts():
