@@ -110,23 +110,16 @@ def _mobius_betti(q: int, r: int) -> tuple:
     F_q^(r+1)); the projective answer divides the cone polynomial by 1+u."""
     gf = GF(q)
     n = r + 1
-
-    def code(v):
-        idx = 0
-        for c in v:
-            idx = idx * q + c
-        return idx
-
     # subspaces in order of codimension; contains[v] is the bitmask of the
-    # indices of the subspaces containing the vector with code v
+    # indices of the subspaces containing the vector v
     bases = []
-    contains = [0] * q ** n
+    contains = {}
     for k in range(n, -1, -1):
         for rows in enumerate_subspaces(gf, n, k):
             bit = 1 << len(bases)
-            bases.append((n - k, [code(x) for x in rows]))
+            bases.append((n - k, rows))
             for v in gf_span_vectors(gf, rows, n):
-                contains[code(v)] |= bit
+                contains[v] = contains.get(v, 0) | bit
     mob = [0] * len(bases)
     whitney = [0] * (n + 1)
     for i, (codim, rows) in enumerate(bases):
