@@ -65,8 +65,9 @@ def parse_matrix(rows, what: str, shape=None) -> QMatrix:
 
 
 def parse_subspace(rows, ambient: int, what: str) -> Subspace:
-    if not isinstance(rows, list):
-        raise SchemaError(f"{what}: expected a list of basis rows")
+    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != ambient
+                                         for r in rows):
+        raise SchemaError(f"{what}: expected a list of basis rows of length {ambient}")
     if not rows:
         return Subspace.zero(ambient)
     return Subspace.from_vectors(
@@ -81,6 +82,16 @@ def parse_filtration(obj, ambient: int, orientation: str, what: str) -> IndexedF
         idx = _parse_rat(k, f"{what} index")
         steps[idx] = parse_subspace(rows, ambient, f"{what}[{k}]")
     return IndexedFiltration.make(ambient, orientation, steps)
+
+
+def _int_items(obj, what: str) -> list:
+    """The (key, value) pairs of a JSON object whose keys are integers."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what}: expected an object")
+    try:
+        return [(int(k), v) for k, v in obj.items()]
+    except ValueError as e:
+        raise SchemaError(f"{what}: keys must be integers") from e
 
 
 def _parse_int(x, what: str, minimum=None) -> int:
@@ -128,17 +139,17 @@ def load_nerve(obj: dict) -> NerveDatum:
                           f"without {SUBSET_SEP!r}")
     if len(set(comps)) != len(comps):
         raise SchemaError("nerve: repeated component names")
+    if not isinstance(obj["strata"], dict):
+        raise SchemaError("nerve strata: expected an object of stratum -> dims")
     strata = {}
     for key, dims in obj["strata"].items():
         j = _parse_subset(key, comps, "nerve strata")
-        if not isinstance(dims, dict):
-            raise SchemaError(f"nerve strata[{key}]: expected degree -> dim")
-        strata[j] = {int(s): _parse_int(v, f"strata[{key}][{s}]", 0)
-                     for s, v in dims.items()}
+        strata[j] = {s: _parse_int(v, f"strata[{key}][{s}]", 0)
+                     for s, v in _int_items(dims, f"nerve strata[{key}]")}
     weights = None
     if "weights" in obj:
-        weights = {int(s): _parse_int(w, "weights", None)
-                   for s, w in obj["weights"].items()}
+        weights = {s: _parse_int(w, "weights", None)
+                   for s, w in _int_items(obj["weights"], "weights")}
     restrictions = {}
     for key, mats in obj.get("restrictions", {}).items():
         if ARROW not in key:
@@ -147,8 +158,7 @@ def load_nerve(obj: dict) -> NerveDatum:
         j1 = _parse_subset(k1, comps, "nerve restrictions")
         j2 = _parse_subset(k2, comps, "nerve restrictions")
         by_deg = {}
-        for s, rows in mats.items():
-            s = int(s)
+        for s, rows in _int_items(mats, f"restriction {key}"):
             shape = (strata.get(j2, {}).get(s, 0), strata.get(j1, {}).get(s, 0))
             by_deg[s] = parse_matrix(rows, f"restriction {key} degree {s}", shape)
         restrictions[(j1, j2)] = by_deg
@@ -163,8 +173,7 @@ def load_steenbrink(obj: dict) -> SteenbrinkDatum:
     d = _parse_int(obj["d"], "d", 0)
     levels = {}
     names = set()
-    for t, lst in obj["levels"].items():
-        t = int(t)
+    for t, lst in _int_items(obj["levels"], "steenbrink levels"):
         if not isinstance(lst, list):
             raise SchemaError("steenbrink levels: expected lists of stratum names")
         levels[t] = list(lst)
@@ -173,8 +182,8 @@ def load_steenbrink(obj: dict) -> SteenbrinkDatum:
     for nm, degs in obj["dims"].items():
         if nm not in names:
             raise SchemaError(f"steenbrink dims: unknown stratum {nm!r}")
-        dims[nm] = {int(m): _parse_int(v, f"dims[{nm}][{m}]", 0)
-                    for m, v in degs.items()}
+        dims[nm] = {m: _parse_int(v, f"dims[{nm}][{m}]", 0)
+                    for m, v in _int_items(degs, f"steenbrink dims[{nm}]")}
 
     def parse_maps(section, degree_shift):
         out = {}
@@ -186,8 +195,7 @@ def load_steenbrink(obj: dict) -> SteenbrinkDatum:
             if n1 not in names or n2 not in names:
                 raise SchemaError(f"steenbrink {section}: unknown stratum in {key!r}")
             by_deg = {}
-            for m, rows in mats.items():
-                m = int(m)
+            for m, rows in _int_items(mats, f"steenbrink {section} {key}"):
                 shape = (dims.get(n2, {}).get(m + degree_shift, 0),
                          dims.get(n1, {}).get(m, 0))
                 by_deg[m] = parse_matrix(rows, f"{section} {key} degree {m}", shape)
@@ -204,19 +212,17 @@ def load_filtered_complex(obj: dict) -> FilteredComplex:
                   {"differentials", "filtration", "labels", "blocks"},
                   "filtered complex")
     _check_schema(obj, "filtered complex")
-    spaces = {int(n): _parse_int(v, f"spaces[{n}]", 0)
-              for n, v in obj["spaces"].items()}
+    spaces = {n: _parse_int(v, f"spaces[{n}]", 0)
+              for n, v in _int_items(obj["spaces"], "spaces")}
     diffs = {}
-    for n, rows in obj.get("differentials", {}).items():
-        n = int(n)
+    for n, rows in _int_items(obj.get("differentials", {}), "differentials"):
         shape = (spaces.get(n + 1, 0), spaces.get(n, 0))
         diffs[n] = parse_matrix(rows, f"differential[{n}]", shape)
     filtration = {}
-    for n, levels in obj.get("filtration", {}).items():
-        n = int(n)
-        filtration[n] = {int(p): parse_subspace(rows, spaces.get(n, 0),
-                                                f"filtration[{n}][{p}]")
-                         for p, rows in levels.items()}
+    for n, levels in _int_items(obj.get("filtration", {}), "filtration"):
+        filtration[n] = {p: parse_subspace(rows, spaces.get(n, 0),
+                                           f"filtration[{n}][{p}]")
+                         for p, rows in _int_items(levels, f"filtration[{n}]")}
     labels = None
     if "labels" in obj:
         labels = {}
@@ -229,8 +235,11 @@ def load_filtered_complex(obj: dict) -> FilteredComplex:
     blocks = None
     if "blocks" in obj:
         blocks = {}
-        for n, lst in obj["blocks"].items():
-            blocks[int(n)] = [(int(p), int(q), _parse_int(sz, "block size", 0))
-                              for p, q, sz in lst]
+        for n, lst in _int_items(obj["blocks"], "blocks"):
+            if not isinstance(lst, list) or any(not isinstance(e, list) or len(e) != 3
+                                                for e in lst):
+                raise SchemaError(f"blocks[{n}]: expected a list of [p, q, size]")
+            blocks[n] = [(_parse_int(p, "block p"), _parse_int(q, "block q"),
+                          _parse_int(sz, "block size", 0)) for p, q, sz in lst]
     fc = FilteredComplex(GradedComplex(spaces, diffs), filtration, blocks, labels)
     return fc.validate()

@@ -181,6 +181,33 @@ def test_schema_error_boolean_rational(tmp_path):
     assert res.stderr.startswith(b"schema error:")
 
 
+def assert_schema_error(res):
+    assert res.returncode == 1
+    assert res.stderr.startswith(b"schema error:")
+    assert b"Traceback" not in res.stderr
+
+
+def test_schema_error_fil_row_length(tmp_path):
+    obj = dict(TATE_CURVE, fil={"0": [["1", "0"], ["0", "1"]], "1": [["1", "1", "0"]]})
+    assert_schema_error(run_cli(["phin-analyze"], path=write(tmp_path, "fil.json", obj)))
+
+
+def test_schema_error_strata_degree_key(tmp_path):
+    strata = dict(TRIANGLE_NERVE["strata"], a={"zero": 1})
+    obj = dict(TRIANGLE_NERVE, strata=strata)
+    assert_schema_error(run_cli(["ss-cech"], path=write(tmp_path, "key.json", obj)))
+
+
+def test_schema_error_strata_list(tmp_path):
+    obj = dict(TRIANGLE_NERVE, strata=[["a", {"0": 1}]])
+    assert_schema_error(run_cli(["ss-cech"], path=write(tmp_path, "list.json", obj)))
+
+
+def test_schema_error_two_field_block(tmp_path):
+    obj = dict(D2_COMPLEX, blocks={"0": [[0, 0]]})
+    assert_schema_error(run_cli(["ss-pages"], path=write(tmp_path, "blocks.json", obj)))
+
+
 def test_phin_analyze_rejects_non_prime_p(tmp_path):
     # every other invariant holds: N phi = 4 phi N
     obj = dict(TATE_CURVE, p=4, phi=[["1", "0"], ["0", "4"]])
