@@ -17,7 +17,7 @@ from .spectral import (FilteredComplex, GradedComplex, Page,
                        equivariant_degeneration_check, total_cohomology_dims)
 from .nerve import NerveDatum, cech_complex, cech_vs_total_check, lambda_flags
 from .steenbrink import (SteenbrinkDatum, analyze_steenbrink, cycle_datum,
-                         monodromy_endomorphism, steenbrink_double_complex)
+                         steenbrink_double_complex)
 from .drinfeld import (BuildingBall, LatticeClass, SimplexType, ball,
                        gaussian_binomial, simplices_through_vertex,
                        stratum_type, v_n_m, vertex_neighbors)

@@ -27,7 +27,7 @@ from .drinfeld import (LatticeClass, ball, gaussian_binomial,
 from .nerve import cech_complex, cech_vs_total_check
 from .serialize import (SCHEMA_VERSION, load_filtered_complex, load_nerve,
                         load_phin, load_steenbrink)
-from .steenbrink import analyze_steenbrink, first_page_dims, steenbrink_double_complex
+from .steenbrink import analyze_steenbrink, first_page_dims
 
 JSON_KW = dict(sort_keys=True, separators=(",", ":"))
 
@@ -184,6 +184,8 @@ def cmd_phin_netcoh(args):
 
 
 def cmd_ss_pages(args):
+    if args.max_page < 0:
+        raise PreconditionError("--max-page must be >= 0")
     obj, digest = _read_input(args.input)
     fc = load_filtered_complex(obj)
     report = {
@@ -225,7 +227,7 @@ def cmd_ss_cech(args):
         "abutment": abut,
         "degeneration_page": sp.degeneration_page(fc, bound),
         "equivariant_degeneration": sp.equivariant_degeneration_check(fc),
-        "flag_complex_agrees": cech_vs_total_check(nd),
+        "flag_complex_agrees": cech_vs_total_check(nd, fc),
         "clauses": {
             "equivariant_degeneration": "all d_r for r >= 2 vanish, forced by "
                                         "the weight labels on the rows",
@@ -239,7 +241,6 @@ def cmd_ss_cech(args):
 def cmd_ss_steenbrink(args):
     obj, digest = _read_input(args.input)
     sd = load_steenbrink(obj)
-    fc = steenbrink_double_complex(sd)
     an = analyze_steenbrink(sd)
     report = {
         "schema": SCHEMA_VERSION,

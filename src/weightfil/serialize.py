@@ -75,12 +75,9 @@ def parse_subspace(rows, ambient: int, what: str) -> Subspace:
 
 
 def parse_filtration(obj, ambient: int, orientation: str, what: str) -> IndexedFiltration:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{what}: expected an object of index -> basis rows")
-    steps = {}
-    for k, rows in obj.items():
-        idx = _parse_rat(k, f"{what} index")
-        steps[idx] = parse_subspace(rows, ambient, f"{what}[{k}]")
+    """Filtration from integer index -> basis rows (Hodge indices are integers)."""
+    steps = {i: parse_subspace(rows, ambient, f"{what}[{i}]")
+             for i, rows in _int_items(obj, what)}
     return IndexedFiltration.make(ambient, orientation, steps)
 
 
@@ -241,5 +238,4 @@ def load_filtered_complex(obj: dict) -> FilteredComplex:
                 raise SchemaError(f"blocks[{n}]: expected a list of [p, q, size]")
             blocks[n] = [(_parse_int(p, "block p"), _parse_int(q, "block q"),
                           _parse_int(sz, "block size", 0)) for p, q, sz in lst]
-    fc = FilteredComplex(GradedComplex(spaces, diffs), filtration, blocks, labels)
-    return fc.validate()
+    return FilteredComplex(GradedComplex(spaces, diffs), filtration, blocks, labels)

@@ -1,18 +1,20 @@
 """Spectral sequences of bounded filtered cochain complexes over Q.
 
-Pages are computed from scratch per index r through the exact subquotient
-formulas
+Pages come from the exact subquotient formulas
 
     Z_r^{p,q} = F^p C^n  /\\  d^{-1}(F^{p+r} C^{n+1})          (n = p+q)
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2})
 
 with d_r induced by d.  Filtrations are decreasing, exhaustive and bounded,
-and must satisfy d(F^p) <= F^p.
+and must satisfy d(F^p) <= F^p; a FilteredComplex checks this once, at
+construction.  Each Z_r, each page and each abutment filtration is computed
+at most once per FilteredComplex and kept on it, so a complex must not be
+mutated after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import FiltrationError, PreconditionError
 from .exact_linalg import (QMatrix, QuotientMap, Subspace, image, image_of_subspace,
                            kernel, preimage, subspace_intersect, subspace_sum)
@@ -69,6 +71,11 @@ class FilteredComplex:
     filtration: dict
     blocks: dict | None = None    # degree -> ordered list of (p, q, size)
     labels: dict | None = None    # (p, q) -> weight label
+    # ("z", n, p, p + r) -> Z_r, ("page", r) -> Page, ("abutment", n) -> filtration
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.validate()
 
     def p_range(self) -> tuple:
         ps = [p for fl in self.filtration.values() for p in fl]
@@ -135,14 +142,20 @@ class Page:
 
 
 def _z_subspace(fc: FilteredComplex, p: int, q: int, r: int) -> Subspace:
+    # F^p is full for p <= lo and zero for p > hi, so Z_r^{p,q} depends
+    # only on the levels p and p + r clamped to [lo, hi + 1]
     n = p + q
-    f_p = fc.fil_at(n, p)
-    d = fc.complex.diff(n)
-    return subspace_intersect(f_p, preimage(d, fc.fil_at(n + 1, p + r)))
+    lo, hi = fc.p_range()
+    key = ("z", n, min(max(p, lo), hi + 1), min(max(p + r, lo), hi + 1))
+    if key not in fc._memo:
+        fc._memo[key] = subspace_intersect(
+            fc.fil_at(n, key[2]), preimage(fc.complex.diff(n), fc.fil_at(n + 1, key[3])))
+    return fc._memo[key]
 
 
 def _entry_data(fc: FilteredComplex, p: int, q: int, r: int):
-    """(QuotientMap for E_r^{p,q}, Z_r) with denominator built from Z_{r-1}."""
+    """QuotientMap for E_r^{p,q}: Z_r over a denominator built from Z_{r-1},
+    which lies in Z_r because d respects the filtration."""
     n = p + q
     z_r = _z_subspace(fc, p, q, r)
     if r == 0:
@@ -152,27 +165,19 @@ def _entry_data(fc: FilteredComplex, p: int, q: int, r: int):
         d_prev = fc.complex.diff(n - 1)
         z_back = _z_subspace(fc, p - r + 1, q + r - 2, r - 1)
         den = subspace_sum(z_above, image_of_subspace(d_prev, z_back))
-    den = subspace_intersect(den, z_r)
     return QuotientMap(den, z_r)
-
-
-def _interesting_pq(fc: FilteredComplex) -> list:
-    lo, hi = fc.p_range()
-    out = []
-    for n in fc.complex.degrees():
-        for p in range(lo, hi + 1):
-            out.append((p, n - p))
-    return out
 
 
 def e_page(fc: FilteredComplex, r: int) -> Page:
     """Page E_r with its d_r: E_r^{p,q} -> E_r^{p+r, q-r+1}."""
     if r < 0:
         raise PreconditionError("page index must be >= 0")
-    fc.validate()
+    if ("page", r) in fc._memo:
+        return fc._memo[("page", r)]
     maps = {}
     entries = {}
-    for (p, q) in _interesting_pq(fc):
+    lo, hi = fc.p_range()
+    for (p, q) in [(p, n - p) for n in fc.complex.degrees() for p in range(lo, hi + 1)]:
         qm = _entry_data(fc, p, q, r)
         if qm.dim:
             maps[(p, q)] = qm
@@ -193,6 +198,7 @@ def e_page(fc: FilteredComplex, r: int) -> Page:
         nxt = diffs.get((p + r, q - r + 1))
         if nxt is not None and not (nxt @ m).is_zero():
             raise PreconditionError("d_r o d_r != 0; corrupted filtration data")
+    fc._memo[("page", r)] = page
     return page
 
 
@@ -204,9 +210,10 @@ def stable_page_index(fc: FilteredComplex) -> int:
 
 def degeneration_page(fc: FilteredComplex, bound: int):
     """Smallest r <= bound with d_s = 0 for all r <= s <= bound, or None
-    when differentials persist at the bound (bound-censored)."""
-    if bound < 1:
-        raise PreconditionError("bound must be >= 1")
+    when differentials persist at the bound (bound-censored).  Bound 0 is
+    censored: no r >= 1 lies within it."""
+    if bound < 0:
+        raise PreconditionError("bound must be >= 0")
     last_nonzero = 0
     for s in range(1, bound + 1):
         if not e_page(fc, s).is_degenerate():
@@ -235,7 +242,8 @@ def abutment_quotient(fc: FilteredComplex, n: int) -> QuotientMap:
 def abutment_filtration(fc: FilteredComplex, n: int) -> IndexedFiltration:
     """Decreasing filtration induced on H^n(total); its graded dims equal
     the E_infinity dims on the diagonal p + q = n."""
-    fc.validate()
+    if ("abutment", n) in fc._memo:
+        return fc._memo[("abutment", n)]
     qm = abutment_quotient(fc, n)
     lo, hi = fc.p_range()
     z = qm.outer
@@ -243,7 +251,8 @@ def abutment_filtration(fc: FilteredComplex, n: int) -> IndexedFiltration:
     for p in range(lo, hi + 2):
         zp = subspace_intersect(z, fc.fil_at(n, p))
         steps[p] = qm.subspace_image(zp)
-    return IndexedFiltration.make(qm.dim, DECREASING, steps)
+    fl = fc._memo[("abutment", n)] = IndexedFiltration.make(qm.dim, DECREASING, steps)
+    return fl
 
 
 def equivariant_degeneration_check(fc: FilteredComplex, bound: int | None = None) -> bool:
@@ -256,7 +265,6 @@ def equivariant_degeneration_check(fc: FilteredComplex, bound: int | None = None
     """
     if fc.blocks is None or fc.labels is None:
         raise PreconditionError("weight labels are required for the equivariant check")
-    fc.validate()
     for n in fc.complex.degrees():
         d = fc.complex.diff(n)
         src = _block_slices(fc, n)

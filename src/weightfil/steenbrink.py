@@ -156,10 +156,10 @@ class _Model:
         return QMatrix.from_rows(rows) if dim_n else QMatrix.zero(0, 0)
 
 
-def steenbrink_double_complex(sd: SteenbrinkDatum) -> FilteredComplex:
+def steenbrink_double_complex(sd: SteenbrinkDatum, model: _Model | None = None) -> FilteredComplex:
     """Total complex of the weight double complex, filtered by weight level
-    (F^p collects summands with t - 2j - 1 <= -p)."""
-    model = _Model(sd)
+    (F^p collects summands with t - 2j - 1 <= -p); `model` reuses a _Model(sd)."""
+    model = model or _Model(sd)
     spaces = dict(model.totals)
     diffs = {}
     for n in sorted(spaces):
@@ -167,10 +167,6 @@ def steenbrink_double_complex(sd: SteenbrinkDatum) -> FilteredComplex:
         if d.rows and d.cols:
             diffs[n] = d
     gc = GradedComplex(spaces, diffs)
-    try:
-        gc.validate()
-    except PreconditionError as e:
-        raise PreconditionError(f"inconsistent strata maps: {e}") from e
 
     tmax = sd.max_level()
     filtration = {}
@@ -201,8 +197,10 @@ def steenbrink_double_complex(sd: SteenbrinkDatum) -> FilteredComplex:
                 meta.append((p, q, dim))
             labels[(p, q)] = q  # pure of weight n + k = q, Tate twists included
         blocks[n] = meta
-    fc = FilteredComplex(gc, filtration, blocks, labels)
-    return fc.validate()
+    try:
+        return FilteredComplex(gc, filtration, blocks, labels)
+    except PreconditionError as e:
+        raise PreconditionError(f"inconsistent strata maps: {e}") from e
 
 
 def first_page_dims(sd: SteenbrinkDatum) -> dict:
@@ -240,14 +238,9 @@ class SteenbrinkAnalysis:
     mw_equal: dict               # n -> bool
 
 
-def monodromy_endomorphism(sd: SteenbrinkDatum) -> dict:
-    """Matrices of the induced monodromy on each total cohomology H^n."""
-    return analyze_steenbrink(sd).monodromy
-
-
 def analyze_steenbrink(sd: SteenbrinkDatum) -> SteenbrinkAnalysis:
     model = _Model(sd)
-    fc = steenbrink_double_complex(sd)
+    fc = steenbrink_double_complex(sd, model)
     # the shift must commute with the assembled total differential
     for n in sorted(model.totals):
         nu_n = model.monodromy_matrix(n)

@@ -178,7 +178,7 @@ def test_criterion_08_cech_equivalence_random():
     checked = 0
     while checked < 50:
         nd = random_functorial_nerve(rng, rng.randint(1, 4))
-        assert cech_vs_total_check(nd) is True
+        assert cech_vs_total_check(nd, cech_complex(nd)) is True
         checked += 1
     _report(8, f"{checked} random consistent nerves (<= 4 components): "
                "flag-indexed complex = nerve complex")

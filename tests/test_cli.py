@@ -137,6 +137,18 @@ def test_ss_pages(tmp_path):
     assert rep["pages"]["2"] == {"0,0": 1, "1,1": 1, "2,-1": 1}
 
 
+def test_ss_pages_max_page_zero_and_negative(tmp_path):
+    p = write(tmp_path, "cx.json", D2_COMPLEX)
+    res = run_cli(["ss-pages", "--max-page", "0"], path=p)
+    assert res.returncode == 0, res.stderr
+    rep = json.loads(res.stdout)
+    assert rep["pages"] == {"0": {"0,0": 1, "1,1": 1, "2,-1": 1}}
+    assert rep["degeneration_page"] is None  # no r >= 1 within the bound
+    res = run_cli(["ss-pages", "--max-page", "-1"], path=p)
+    assert res.returncode == 2
+    assert b"--max-page must be >= 0" in res.stderr
+
+
 def test_drinfeld_commands():
     res = run_cli(["drinfeld-ball", "--d", "1", "--p", "2", "--n", "2"])
     rep = json.loads(res.stdout)
@@ -206,6 +218,13 @@ def test_schema_error_strata_list(tmp_path):
 def test_schema_error_two_field_block(tmp_path):
     obj = dict(D2_COMPLEX, blocks={"0": [[0, 0]]})
     assert_schema_error(run_cli(["ss-pages"], path=write(tmp_path, "blocks.json", obj)))
+
+
+def test_schema_error_fractional_filtration_index(tmp_path):
+    # F(0) must be the full space below the smallest listed index
+    for key in ("fil", "gamma_fil"):
+        obj = dict(TATE_CURVE, **{key: {"1/2": [["1", "1"]]}})
+        assert_schema_error(run_cli(["phin-analyze"], path=write(tmp_path, f"{key}.json", obj)))
 
 
 def test_phin_analyze_rejects_non_prime_p(tmp_path):

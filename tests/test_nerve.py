@@ -66,13 +66,13 @@ def test_single_component():
     fc = cech_complex(nd)
     assert total_cohomology_dims(fc) == {0: 1}
     assert e_page(fc, 1).entries == {(0, 0): 1}
-    assert cech_vs_total_check(nd) is True
+    assert cech_vs_total_check(nd, fc) is True
 
 
 def test_triangle_circle_cohomology():
     fc = cech_complex(TRIANGLE)
     assert total_cohomology_dims(fc) == {0: 1, 1: 1}
-    assert cech_vs_total_check(TRIANGLE) is True
+    assert cech_vs_total_check(TRIANGLE, fc) is True
 
 
 def test_interval():
@@ -143,7 +143,7 @@ def test_random_functorial_nerves_flag_equality():
     rng = random.Random(41)
     for _ in range(12):
         nd = random_functorial_nerve(rng, rng.randint(1, 4))
-        assert cech_vs_total_check(nd) is True
+        assert cech_vs_total_check(nd, cech_complex(nd)) is True
 
 
 def test_functoriality_validation_rejects_bad_maps():

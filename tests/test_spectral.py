@@ -10,7 +10,7 @@ from weightfil.spectral import (FilteredComplex, GradedComplex,
                                 equivariant_degeneration_check,
                                 total_cohomology_dims)
 
-from conftest import qm, sub
+from conftest import qm, random_invertible, sub
 
 
 def trivial_filtration(gc: GradedComplex) -> FilteredComplex:
@@ -150,11 +150,10 @@ def test_random_complex_consistency():
             assert total == gc.cohomology_dim(n)
 
 
-def test_next_page_is_homology_of_current():
+def assert_next_page_is_homology(fc, rs):
     # dim E_{r+1}^{p,q} = dim ker d_r - rank of the incoming d_r
     from weightfil.exact_linalg import kernel as mat_kernel, rank as mat_rank
-    fc = two_level_complex()
-    for r in range(0, 4):
+    for r in rs:
         cur = e_page(fc, r)
         nxt = e_page(fc, r + 1)
         keys = set(cur.entries) | set(nxt.entries)
@@ -165,3 +164,79 @@ def test_next_page_is_homology_of_current():
             ker_dim = mat_kernel(out).dim if out is not None else dim_cur
             inc_rank = mat_rank(inc) if inc is not None else 0
             assert nxt.entry(p, q) == ker_dim - inc_rank
+
+
+def test_next_page_is_homology_of_current():
+    assert_next_page_is_homology(two_level_complex(), range(0, 4))
+
+
+def random_filtered_complex(rng):
+    """Pairs x -> y (d x = y, levels a <= b, so d_(b-a) kills them) and
+    lone cycles on coordinate levels 0..4, then a random basis change in
+    every degree, so that no filtration step is a coordinate span."""
+    from weightfil.drinfeld import _rational_inverse
+    levels = {n: [] for n in range(4)}
+    pairs = []
+    for _ in range(rng.randint(3, 7)):
+        n, a = rng.randint(0, 2), rng.randint(0, 3)
+        if rng.random() < 0.7:
+            pairs.append((n, len(levels[n]), len(levels[n + 1])))
+            levels[n + 1].append(rng.randint(a, 4))
+        levels[n].append(a)
+    spaces = {n: len(lv) for n, lv in levels.items() if lv}
+    g = {n: random_invertible(rng, dim) for n, dim in spaces.items()}
+    diffs = {}
+    for n in spaces:
+        if n + 1 in spaces:
+            rows = [[0] * spaces[n] for _ in range(spaces[n + 1])]
+            for (m, i, j) in pairs:
+                if m == n:
+                    rows[j][i] = 1
+            diffs[n] = g[n + 1] @ qm(rows) @ _rational_inverse(g[n])
+    fil = {}
+    for n, lv in levels.items():
+        if lv:
+            cols = g[n].transpose().row_list()
+            # only the levels in use are listed: F is full below, zero above
+            fil[n] = {p: sub(spaces[n], [cols[i] for i, a in enumerate(lv) if a >= p])
+                      for p in range(min(lv), max(lv) + 1)}
+    return GradedComplex(spaces, diffs), fil
+
+
+def test_memoized_reads_match_fresh_complex_per_request():
+    # a shared complex keeps its pages, Z_r and abutments; reading them in
+    # any order must give what a fresh complex computes for each request
+    rng = random.Random(8)
+    rs = list(range(0, 6))
+    higher = 0
+    for _ in range(6):
+        gc, fil = random_filtered_complex(rng)
+        pages = {r: e_page(FilteredComplex(gc, fil), r) for r in rs}
+        degen = {b: degeneration_page(FilteredComplex(gc, fil), b) for b in rs}
+        abut = {n: abutment_filtration(FilteredComplex(gc, fil), n) for n in gc.spaces}
+        higher += sum(not pages[r].is_degenerate() for r in rs[2:])
+        for order in (rs, rs[::-1], rng.sample(rs, len(rs))):
+            shared = FilteredComplex(gc, fil)
+            for r in order:
+                assert e_page(shared, r) == pages[r]
+            for b in order:
+                assert degeneration_page(shared, b) == degen[b]
+            for n in gc.spaces:
+                assert abutment_filtration(shared, n) == abut[n]
+        assert_next_page_is_homology(shared, rs[:-1])
+    assert higher > 0  # some d_r with r >= 2 is nonzero
+
+
+def test_invalid_complex_raises_at_construction():
+    line_a, line_b = sub(2, [[1, 0]]), sub(2, [[0, 1]])
+    with pytest.raises(PreconditionError, match="d o d"):
+        trivial_filtration(GradedComplex({0: 1, 1: 1, 2: 1},
+                                         {0: qm([[1]]), 1: qm([[1]])}))
+    with pytest.raises(FiltrationError, match="not decreasing"):
+        FilteredComplex(GradedComplex({0: 2}, {}),
+                        {0: {0: Subspace.full(2), 1: line_a, 2: line_b,
+                             3: Subspace.zero(2)}})
+    with pytest.raises(FiltrationError, match="does not respect"):
+        FilteredComplex(GradedComplex({0: 1, 1: 1}, {0: qm([[1]])}),
+                        {0: {1: Subspace.full(1), 2: Subspace.zero(1)},
+                         1: {0: Subspace.full(1), 1: Subspace.zero(1)}})
