@@ -138,17 +138,17 @@ def cmd_phin_check_mw(args):
     obj, digest = _read_input(args.input)
     D = load_phin(obj)
     ph.validate(D)
-    equal = ph.monodromy_weight_check(D)
-    diff = ph.monodromy_weight_diff(D)
+    mfil = ph.monodromy_filtration(D)
+    wfil = ph.weight_filtration(D)
     report = {
         "schema": SCHEMA_VERSION,
         "command": "phin-check-mw",
         "input_sha256": digest,
-        "equal": equal,
+        "equal": mfil.same_filtration(wfil),
         "step_diff": [{"r": rat_str(r), "monodromy_dim": a, "weight_dim": b}
-                      for r, a, b in diff],
-        "monodromy_graded": graded_dims_to_json(ph.monodromy_filtration(D).graded_dims()),
-        "weight_graded": graded_dims_to_json(ph.weight_filtration(D).graded_dims()),
+                      for r, a, b in mfil.step_diff(wfil)],
+        "monodromy_graded": graded_dims_to_json(mfil.graded_dims()),
+        "weight_graded": graded_dims_to_json(wfil.graded_dims()),
         "clauses": {
             "equal": "M_r = P_r for all r",
         },

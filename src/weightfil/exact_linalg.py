@@ -286,6 +286,14 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, QMatrix.identity(ambient_dim))
 
+    @staticmethod
+    def coordinates(ambient_dim: int, coords: Iterable[int]) -> "Subspace":
+        """Span of the unit vectors e_c, c in coords; its sorted unit rows
+        are already in RREF."""
+        cs = sorted(set(coords))
+        return Subspace(ambient_dim, QMatrix(len(cs), ambient_dim, tuple(
+            _ONE if j == c else _ZERO for c in cs for j in range(ambient_dim))))
+
     @property
     def dim(self) -> int:
         return self.basis.rows

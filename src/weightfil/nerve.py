@@ -6,18 +6,20 @@ together with functorial restriction maps towards deeper strata.  Two
 complexes are built from it: the standard nerve complex indexed by the
 sets J themselves, and the flag-indexed variant whose m-cells are chains
 J_0 < J_1 < ... < J_m of nonempty subsets; both compute the same total
-cohomology.
+cohomology.  Each is a summand list and a block callback for the shared
+block-layout builder in `spectral`.  A NerveDatum validates itself once, at
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import PreconditionError, SchemaError
-from .exact_linalg import QMatrix, Subspace
-from .spectral import FilteredComplex, GradedComplex
+from .exact_linalg import QMatrix
+from .spectral import (DirectSum, FilteredComplex, GradedComplex, filtered_total_complex,
+                       total_complex)
 
 
 def nonempty_subsets(components) -> list:
@@ -59,6 +61,9 @@ class NerveDatum:
     restrictions: dict
     weights: dict | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def stratum_dim(self, j: frozenset, s: int) -> int:
         return self.strata.get(j, {}).get(s, 0)
 
@@ -74,9 +79,7 @@ class NerveDatum:
     def restriction(self, j1: frozenset, j2: frozenset, s: int) -> QMatrix:
         """Restriction matrix H^s(M_{j1}) -> H^s(M_{j2}) for j1 <= j2,
         composed along any maximal chain (functoriality is validated)."""
-        if j1 == j2:
-            return QMatrix.identity(self.stratum_dim(j1, s))
-        if not j1 < j2:
+        if not j1 <= j2:
             raise PreconditionError("restriction requires nested index sets")
         added = sorted(j2 - j1, key=self.components.index)
         cur = j1
@@ -114,174 +117,62 @@ class NerveDatum:
         return self
 
 
-def _cech_sign(j_small: frozenset, j_big: frozenset, order: list) -> int:
-    """Sign of the nerve differential component J -> J + {x}: (-1)^position
-    of x in the ordered enumeration of J + {x}."""
-    (x,) = tuple(j_big - j_small)
-    pos = sorted(j_big, key=order.index).index(x)
-    return -1 if pos % 2 else 1
-
-
 def cech_complex(nd: NerveDatum) -> FilteredComplex:
     """Total complex of the nerve double complex K^{r,s} = (+)_{|J|=r+1}
     H^s(M_J) with alternating-sign restriction differentials, filtered by
     the Cech index r.  Its first page reproduces the K^{r,s} dims."""
-    nd.validate()
     comps = nd.components
-    subs = nonempty_subsets(comps)
-    by_size = {}
-    for j in subs:
-        by_size.setdefault(len(j) - 1, []).append(j)
-    for r in by_size:
-        by_size[r].sort(key=lambda j: sorted(comps.index(c) for c in j))
-    degs = nd.degrees() or [0]
-    smax = max(degs)
     rmax = len(comps) - 1
+    smax = max(nd.degrees() or [0])
+    subs = nonempty_subsets(comps)
+    # summands (J, s) of each total degree, ordered by (r, J) with r = |J| - 1
+    summands = {n: [((j, n - r), r, n - r, nd.stratum_dim(j, n - r))
+                    for r in range(0, min(n, rmax) + 1) for j in subs
+                    if len(j) == r + 1 and nd.stratum_dim(j, n - r)]
+                for n in range(0, rmax + smax + 1)}
 
-    # coordinate layout per total degree: blocks ordered by (r, J, s)
-    layout = {}
-    for n in range(0, rmax + smax + 1):
-        blocks = []
-        for r in range(0, min(n, rmax) + 1):
-            s = n - r
-            for j in by_size.get(r, []):
-                dim = nd.stratum_dim(j, s)
-                if dim:
-                    blocks.append((r, s, j, dim))
-        layout[n] = blocks
+    def cofaces(key):
+        j, s = key
+        for k, x in enumerate(comps):
+            if x not in j and nd.stratum_dim(j | {x}, s):
+                # (-1)^(position of x in J + {x}, in component order)
+                sign = -1 if len(j.intersection(comps[:k])) % 2 else 1
+                yield (j | {x}, s), nd.restriction(j, j | {x}, s), sign
 
-    def offsets(blocks):
-        out = {}
-        pos = 0
-        for (r, s, j, dim) in blocks:
-            out[(r, j)] = (pos, dim)
-            pos += dim
-        return out, pos
-
-    spaces = {}
-    diffs = {}
-    for n, blocks in layout.items():
-        _, total = offsets(blocks)
-        spaces[n] = total
-    for n in sorted(layout):
-        src_off, src_dim = offsets(layout[n])
-        tgt_off, tgt_dim = offsets(layout.get(n + 1, []))
-        rows = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
-        for (r, s, j, dim) in layout[n]:
-            s0, _ = src_off[(r, j)]
-            for x in comps:
-                if x in j:
-                    continue
-                j2 = j | {x}
-                key = (r + 1, j2)
-                if key not in tgt_off:
-                    continue
-                t0, tdim = tgt_off[key]
-                mat = nd.restriction(j, j2, s)
-                sign = _cech_sign(j, j2, comps)
-                for i in range(tdim):
-                    for k in range(dim):
-                        v = mat.entry(i, k)
-                        if v:
-                            rows[t0 + i][s0 + k] += sign * v
-        if tgt_dim or src_dim:
-            diffs[n] = QMatrix.from_rows(rows) if tgt_dim and src_dim \
-                else QMatrix.zero(tgt_dim, src_dim)
-
-    gc = GradedComplex(spaces, {n: m for n, m in diffs.items() if m.rows and m.cols})
-    filtration = {}
-    blocks_meta = {}
-    labels = {}
-    for n, blocks in layout.items():
-        off, total = offsets(blocks)
-        levels = {}
-        for p in range(0, rmax + 2):
-            vecs = []
-            for (r, s, j, dim) in blocks:
-                if r >= p:
-                    b0, _ = off[(r, j)]
-                    for k in range(dim):
-                        v = [Fraction(0)] * total
-                        v[b0 + k] = Fraction(1)
-                        vecs.append(v)
-            levels[p] = Subspace.from_vectors(total, vecs)
-        filtration[n] = levels
-        meta = []
-        for (r, s, j, dim) in blocks:
-            if meta and meta[-1][0] == (r, s):
-                meta[-1] = ((r, s), meta[-1][1] + dim)
-            else:
-                meta.append(((r, s), dim))
-        blocks_meta[n] = [(rs[0], rs[1], dim) for rs, dim in meta]
-        for (r, s, j, dim) in blocks:
-            labels[(r, s)] = nd.weight(s)
-    return FilteredComplex(gc, filtration, blocks_meta, labels)
+    return filtered_total_complex(summands, cofaces, range(0, rmax + 2),
+                                  lambda r, s: nd.weight(s))
 
 
 def flag_complex(nd: NerveDatum) -> GradedComplex:
     """The flag-indexed variant: the m-th space is the sum of H^*(M_{top})
     over flags of length m + 1, with the alternating sum of deletion maps."""
-    nd.validate()
     comps = nd.components
     n_comp = len(comps)
-    all_flags = {}
-    for m in range(0, n_comp):
-        flags = lambda_flags(n_comp, m)
-        all_flags[m] = [tuple(frozenset(comps[i] for i in f) for f in flag)
-                        for flag in flags]
-    degs = nd.degrees() or [0]
-    smax = max(degs)
+    smax = max(nd.degrees() or [0])
+    all_flags = {m: [tuple(frozenset(comps[i] for i in f) for f in flag)
+                     for flag in lambda_flags(n_comp, m)]
+                 for m in range(0, n_comp)}
+    # the cofaces of a flag: the longer flags it is a face of, with the sign
+    # of the deleted position
+    cofaces = {}
+    for m in range(1, n_comp):
+        for flag2 in all_flags[m]:
+            for at in range(m + 1):
+                cofaces.setdefault(flag_delete(flag2, at), []).append(
+                    (flag2, -1 if at % 2 else 1))
+    sums = {n: DirectSum(((flag, n - m), nd.stratum_dim(flag[-1], n - m))
+                         for m in range(0, min(n, n_comp - 1) + 1) for flag in all_flags[m]
+                         if nd.stratum_dim(flag[-1], n - m))
+            for n in range(0, (n_comp - 1) + smax + 1)}
 
-    layout = {}
-    for n in range(0, (n_comp - 1) + smax + 1):
-        blocks = []
-        for m in range(0, min(n, n_comp - 1) + 1):
-            s = n - m
-            for flag in all_flags[m]:
-                dim = nd.stratum_dim(flag[-1], s)
-                if dim:
-                    blocks.append((m, s, flag, dim))
-        layout[n] = blocks
+    def blocks(key):
+        flag, s = key
+        for flag2, sign in cofaces.get(flag, []):
+            if nd.stratum_dim(flag2[-1], s):
+                # identity unless the top stratum grew
+                yield (flag2, s), nd.restriction(flag[-1], flag2[-1], s), sign
 
-    def offsets(blocks):
-        out = {}
-        pos = 0
-        for (m, s, flag, dim) in blocks:
-            out[(m, flag)] = (pos, dim)
-            pos += dim
-        return out, pos
-
-    spaces = {}
-    for n, blocks in layout.items():
-        _, total = offsets(blocks)
-        spaces[n] = total
-    diffs = {}
-    for n in sorted(layout):
-        src_off, src_dim = offsets(layout[n])
-        tgt_off, tgt_dim = offsets(layout.get(n + 1, []))
-        rows = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
-        for (m, s, flag, dim) in layout[n]:
-            s0, _ = src_off[(m, flag)]
-            # cofaces: flags of length m+2 whose deletion gives this flag
-            for (m2, s2, flag2, dim2) in layout.get(n + 1, []):
-                if m2 != m + 1 or s2 != s:
-                    continue
-                for del_at in range(m2 + 1):
-                    if flag_delete(flag2, del_at) != flag:
-                        continue
-                    sign = -1 if del_at % 2 else 1
-                    mat = nd.restriction(flag[-1], flag2[-1], s)  # identity unless top grew
-                    t0, tdim = tgt_off[(m2, flag2)]
-                    for i in range(tdim):
-                        for k in range(dim):
-                            v = mat.entry(i, k)
-                            if v:
-                                rows[t0 + i][s0 + k] += sign * v
-        if tgt_dim or src_dim:
-            diffs[n] = QMatrix.from_rows(rows) if tgt_dim and src_dim \
-                else QMatrix.zero(tgt_dim, src_dim)
-    gc = GradedComplex(spaces, {n: m for n, m in diffs.items() if m.rows and m.cols})
-    return gc.validate()
+    return total_complex(sums, blocks).validate()
 
 
 def cech_vs_total_check(nd: NerveDatum, fc: FilteredComplex) -> bool:

@@ -15,6 +15,9 @@ mutated after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import groupby
+
 from .errors import FiltrationError, PreconditionError
 from .exact_linalg import (QMatrix, QuotientMap, Subspace, image, image_of_subspace,
                            kernel, preimage, subspace_intersect, subspace_sum)
@@ -55,6 +58,70 @@ class GradedComplex:
         return z.dim - b.dim
 
 
+class DirectSum:
+    """Coordinates of the direct sum of summands [(key, dim)], laid out in
+    order: summand `key` holds coordinates offsets[key] .. offsets[key] + dim."""
+
+    def __init__(self, summands):
+        self.offsets = {}
+        self.dim = 0
+        for key, dim in summands:
+            self.offsets[key] = self.dim
+            self.dim += dim
+
+
+def block_matrix(src: DirectSum, tgt: DirectSum, blocks) -> QMatrix:
+    """The map src -> tgt that sends source summand `key` by the sum of
+    sign * mat over the (target key, mat, sign) that blocks(key) yields;
+    blocks into target keys absent from tgt are skipped."""
+    rows = [[Fraction(0)] * src.dim for _ in range(tgt.dim)]
+    for key, c0 in src.offsets.items():
+        for tkey, mat, sign in blocks(key):
+            r0 = tgt.offsets.get(tkey)
+            if r0 is None:
+                continue
+            for i in range(mat.rows):
+                row = rows[r0 + i]
+                for k, v in enumerate(mat.row(i)):
+                    if v:
+                        row[c0 + k] += sign * v
+    if tgt.dim and src.dim:
+        return QMatrix.from_rows(rows)
+    return QMatrix.zero(tgt.dim, src.dim)
+
+
+def total_complex(sums: dict, blocks) -> GradedComplex:
+    """Complex on the direct sums sums[n] with d^n = block_matrix(sums[n],
+    sums[n + 1], blocks)."""
+    empty = DirectSum([])
+    diffs = {n: block_matrix(s, sums.get(n + 1, empty), blocks) for n, s in sums.items()}
+    return GradedComplex({n: s.dim for n, s in sums.items()},
+                         {n: d for n, d in diffs.items() if d.rows and d.cols})
+
+
+def filtered_total_complex(summands: dict, blocks, levels, label) -> FilteredComplex:
+    """Total complex of a double complex whose degree-n summands, in
+    coordinate order, are summands[n] = [(key, p, q, dim)], with the
+    differential blocks of total_complex.  F^p at each p in `levels` is the
+    span of the coordinates of the summands with filtration index >= p;
+    `blocks` merges adjacent summands with the same (p, q) and `labels` maps
+    each (p, q) to label(p, q)."""
+    sums = {n: DirectSum((key, dim) for key, _, _, dim in lst)
+            for n, lst in summands.items()}
+    filtration = {}
+    meta = {}
+    labels = {}
+    for n, lst in summands.items():
+        offsets = sums[n].offsets
+        filtration[n] = {lvl: Subspace.coordinates(sums[n].dim, [
+            offsets[key] + c for key, p, _, dim in lst if p >= lvl for c in range(dim)])
+            for lvl in levels}
+        meta[n] = [(p, q, sum(s[3] for s in group))
+                   for (p, q), group in groupby(lst, key=lambda s: s[1:3])]
+        labels.update(((p, q), label(p, q)) for _, p, q, _ in lst)
+    return FilteredComplex(total_complex(sums, blocks), filtration, meta, labels)
+
+
 @dataclass(frozen=True)
 class FilteredComplex:
     """GradedComplex plus per-degree decreasing filtration subspaces.
@@ -63,8 +130,8 @@ class FilteredComplex:
     listed level the filtration is the full space, above the largest it is
     zero.  `blocks` and `labels` optionally record a bigraded summand
     decomposition (p, q) -> slice of coordinates and the Frobenius weight
-    label attached to each (p, q); builders that assemble complexes from
-    double complexes fill these in.
+    label attached to each (p, q); `filtered_total_complex` fills these in
+    for complexes assembled from double complexes.
     """
 
     complex: GradedComplex

@@ -13,20 +13,21 @@ maps (i,j,t) -> (i+1,j,t-1) twisted by (-1)^j and the restriction maps
 filtering by it yields the weight spectral sequence, whose first page at
 (-k, i+k) is the sum over j >= max(0,-k) of H^(i-2j-k) of the level
 2j+k+1 strata.  The monodromy endomorphism is the index shift
-(i,j,t) -> (i-1,j+1,t), signed so that it is a chain map.
+(i,j,t) -> (i-1,j+1,t), signed so that it is a chain map.  The summands and
+the blocks of both maps go through the shared block-layout builder in
+`spectral` (`block_matrix`, `filtered_total_complex`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError
-from .exact_linalg import QMatrix, Subspace
+from .exact_linalg import QMatrix
 from .filtration import INCREASING, IndexedFiltration
 from .phin import convolution_step
-from .spectral import (FilteredComplex, GradedComplex, abutment_filtration,
-                       abutment_quotient, total_cohomology_dims)
+from .spectral import (DirectSum, FilteredComplex, abutment_filtration, abutment_quotient,
+                       block_matrix, filtered_total_complex, total_cohomology_dims)
 
 
 @dataclass
@@ -68,137 +69,69 @@ class SteenbrinkDatum:
 
 
 class _Model:
-    """Assembled double complex with coordinate bookkeeping."""
+    """The double complex's summands (key (i, j, t, name), weight filtration
+    index p = -k, q = n - p, dim) per total degree n = i + j, in coordinate
+    order, and its differential and monodromy blocks."""
 
     def __init__(self, sd: SteenbrinkDatum):
         sd.validate()
         self.sd = sd
         tmax = sd.max_level()
-        mmax = sd.max_degree()
-        # summands per total degree n = i + j, ordered deterministically
+        nmax = sd.max_degree() + tmax - 1 if tmax else 0
         self.summands = {}
-        nmax = mmax + tmax - 1 if tmax else 0
         for n in range(0, max(nmax, 0) + 1):
             lst = []
             for j in range(0, n + 1):
                 i = n - j
                 for t in range(j + 1, i + j + 2):
-                    for idx, name in enumerate(sd.levels.get(t, [])):
-                        m = i + j + 1 - t
-                        dim = sd.stratum_dim(name, m)
+                    for name in sd.levels.get(t, []):
+                        dim = sd.stratum_dim(name, i + j + 1 - t)
                         if dim:
-                            lst.append((i, j, t, name, m, dim))
+                            p = 2 * j + 1 - t
+                            lst.append(((i, j, t, name), p, n - p, dim))
             self.summands[n] = lst
-        self.offsets = {}
-        self.totals = {}
-        for n, lst in self.summands.items():
-            off = {}
-            pos = 0
-            for (i, j, t, name, m, dim) in lst:
-                off[(i, j, t, name)] = (pos, dim)
-                pos += dim
-            self.offsets[n] = off
-            self.totals[n] = pos
 
-    def _accumulate(self, rows, tgt_off, tgt_key, mat, sign, src_pos, src_dim):
-        if tgt_key not in tgt_off:
-            return
-        t0, tdim = tgt_off[tgt_key]
-        for r in range(tdim):
-            for c in range(src_dim):
-                v = mat.entry(r, c)
-                if v:
-                    rows[t0 + r][src_pos + c] += sign * v
+    def layout(self, n: int) -> DirectSum:
+        return DirectSum((key, dim) for key, _, _, dim in self.summands.get(n, []))
+
+    def blocks(self, key):
+        """Gysin maps (i,j,t) -> (i+1,j,t-1) twisted by (-1)^j, defined for
+        t >= j + 2, and restriction maps (i,j,t) -> (i,j+1,t+1)."""
+        i, j, t, name = key
+        m = i + j + 1 - t
+        if t >= j + 2:
+            for nm2 in self.sd.levels.get(t - 1, []):
+                mat = self.sd.gysins.get((name, nm2), {}).get(m)
+                if mat is not None:
+                    yield (i + 1, j, t - 1, nm2), mat, -1 if j % 2 else 1
+        for nm2 in self.sd.levels.get(t + 1, []):
+            mat = self.sd.restrictions.get((name, nm2), {}).get(m)
+            if mat is not None:
+                yield (i, j + 1, t + 1, nm2), mat, 1
+
+    def shift(self, key):
+        i, j, t, name = key
+        if i >= 1 and t >= j + 2:
+            dim = self.sd.stratum_dim(name, i + j + 1 - t)
+            yield (i - 1, j + 1, t, name), QMatrix.identity(dim), -1 if i % 2 else 1
 
     def differential(self, n: int) -> QMatrix:
-        src = self.summands.get(n, [])
-        tgt_off = self.offsets.get(n + 1, {})
-        tgt_dim = self.totals.get(n + 1, 0)
-        src_dim = self.totals.get(n, 0)
-        rows = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
-        for (i, j, t, name, m, dim) in src:
-            pos, _ = self.offsets[n][(i, j, t, name)]
-            # gysin family, twisted by (-1)^j, defined for t >= j + 2
-            if t >= j + 2:
-                for nm2 in self.sd.levels.get(t - 1, []):
-                    mat = self.sd.gysins.get((name, nm2), {}).get(m)
-                    if mat is not None and not mat.is_zero():
-                        self._accumulate(rows, tgt_off,
-                                         (i + 1, j, t - 1, nm2), mat,
-                                         -1 if j % 2 else 1, pos, dim)
-            # restriction family
-            for nm2 in self.sd.levels.get(t + 1, []):
-                mat = self.sd.restrictions.get((name, nm2), {}).get(m)
-                if mat is not None and not mat.is_zero():
-                    self._accumulate(rows, tgt_off,
-                                     (i, j + 1, t + 1, nm2), mat, 1, pos, dim)
-        if tgt_dim and src_dim:
-            return QMatrix.from_rows(rows)
-        return QMatrix.zero(tgt_dim, src_dim)
+        return block_matrix(self.layout(n), self.layout(n + 1), self.blocks)
 
     def monodromy_matrix(self, n: int) -> QMatrix:
         """The shift (i,j,t) -> (i-1,j+1,t), signed by (-1)^i, on degree n."""
-        src = self.summands.get(n, [])
-        off = self.offsets.get(n, {})
-        dim_n = self.totals.get(n, 0)
-        rows = [[Fraction(0)] * dim_n for _ in range(dim_n)]
-        for (i, j, t, name, m, dim) in src:
-            if i < 1 or t < j + 2:
-                continue
-            pos, _ = off[(i, j, t, name)]
-            key = (i - 1, j + 1, t, name)
-            if key not in off:
-                continue
-            t0, _ = off[key]
-            sign = -1 if i % 2 else 1
-            for r in range(dim):
-                rows[t0 + r][pos + r] += sign
-        return QMatrix.from_rows(rows) if dim_n else QMatrix.zero(0, 0)
+        return block_matrix(self.layout(n), self.layout(n), self.shift)
 
 
 def steenbrink_double_complex(sd: SteenbrinkDatum, model: _Model | None = None) -> FilteredComplex:
     """Total complex of the weight double complex, filtered by weight level
     (F^p collects summands with t - 2j - 1 <= -p); `model` reuses a _Model(sd)."""
     model = model or _Model(sd)
-    spaces = dict(model.totals)
-    diffs = {}
-    for n in sorted(spaces):
-        d = model.differential(n)
-        if d.rows and d.cols:
-            diffs[n] = d
-    gc = GradedComplex(spaces, diffs)
-
     tmax = sd.max_level()
-    filtration = {}
-    blocks = {}
-    labels = {}
-    for n, lst in model.summands.items():
-        total = model.totals[n]
-        levels = {}
-        for p in range(-(tmax - 1) if tmax else 0, tmax + 1):
-            vecs = []
-            for (i, j, t, name, m, dim) in lst:
-                k = t - 2 * j - 1
-                if k <= -p:
-                    pos, _ = model.offsets[n][(i, j, t, name)]
-                    for c in range(dim):
-                        v = [Fraction(0)] * total
-                        v[pos + c] = Fraction(1)
-                        vecs.append(v)
-            levels[p] = Subspace.from_vectors(total, vecs)
-        filtration[n] = levels
-        meta = []
-        for (i, j, t, name, m, dim) in lst:
-            p = -(t - 2 * j - 1)
-            q = n - p
-            if meta and meta[-1][:2] == (p, q):
-                meta[-1] = (p, q, meta[-1][2] + dim)
-            else:
-                meta.append((p, q, dim))
-            labels[(p, q)] = q  # pure of weight n + k = q, Tate twists included
-        blocks[n] = meta
+    levels = range(-(tmax - 1) if tmax else 0, tmax + 1)
     try:
-        return FilteredComplex(gc, filtration, blocks, labels)
+        # each summand is pure of weight n + k = q, Tate twists included
+        return filtered_total_complex(model.summands, model.blocks, levels, lambda p, q: q)
     except PreconditionError as e:
         raise PreconditionError(f"inconsistent strata maps: {e}") from e
 
@@ -242,7 +175,7 @@ def analyze_steenbrink(sd: SteenbrinkDatum) -> SteenbrinkAnalysis:
     model = _Model(sd)
     fc = steenbrink_double_complex(sd, model)
     # the shift must commute with the assembled total differential
-    for n in sorted(model.totals):
+    for n in sorted(model.summands):
         nu_n = model.monodromy_matrix(n)
         nu_next = model.monodromy_matrix(n + 1)
         d_n = fc.complex.diff(n)

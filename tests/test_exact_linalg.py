@@ -280,3 +280,18 @@ def test_matmul_and_apply_match_oracle():
         got = a.apply(vec)
         assert got == oracle_apply(a, vec)
         assert all(type(x) is Fraction for x in got)
+
+
+def test_coordinates_match_from_vectors():
+    """The span of unit vectors written directly in RREF equals the span
+    that elimination finds; seeded index sets, the empty and the full set."""
+    rng = random.Random(2024)
+    cases = [(0, []), (3, []), (3, [0, 1, 2]), (5, range(5)), (1, [0])]
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        cases.append((n, rng.sample(range(n), rng.randint(0, n))))
+    for n, coords in cases:
+        units = [[1 if j == c else 0 for j in range(n)] for c in coords]
+        got = Subspace.coordinates(n, coords)
+        assert got == Subspace.from_vectors(n, units), (n, coords)
+        assert got.dim == len(set(coords)) and got.ambient_dim == n
