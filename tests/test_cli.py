@@ -1,7 +1,10 @@
+import argparse
 import json
 import pathlib
 import subprocess
 import sys
+
+from weightfil.cli import build_parser
 
 TATE_CURVE = {
     "schema": 1, "p": 2, "a": 1, "d": 1,
@@ -248,7 +251,8 @@ def test_text_format(tmp_path):
     assert b"t_N: 1" in res.stdout
 
 
-# (golden file name, CLI arguments, input document or None)
+# (golden file name, CLI arguments, input document or None); a --format text
+# report is frozen as <name>.txt, every other report as <name>.json
 GOLDEN_FIXTURES = [
     ("phin-analyze", ["phin-analyze", "--seed", "3"], TATE_CURVE),
     ("phin-netcoh", ["phin-netcoh"], NETCOH_D2),
@@ -263,9 +267,16 @@ GOLDEN_FIXTURES = [
     ("drinfeld-ball-d2", ["drinfeld-ball", "--d", "2", "--p", "2", "--n", "2"], None),
     ("drinfeld-arrangement-q4", ["drinfeld-arrangement", "--r", "3", "--q", "4"], None),
     ("phin-check-mw", ["phin-check-mw"], TATE_CURVE),
+    ("phin-analyze-text", ["phin-analyze", "--format", "text"], TATE_CURVE),
+    ("drinfeld-ball-text",
+     ["drinfeld-ball", "--d", "1", "--p", "2", "--n", "1", "--format", "text"], None),
 ]
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def golden_file(name, args):
+    return GOLDEN_DIR / (f"{name}.txt" if "text" in args else f"{name}.json")
 
 
 def run_fixture(tmp_path, name, args, obj):
@@ -290,4 +301,11 @@ def test_golden_reports_frozen(tmp_path):
     for name, args, obj in GOLDEN_FIXTURES:
         res = run_fixture(tmp_path, name, args, obj)
         assert res.returncode == 0, (args, res.stderr)
-        assert res.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes(), name
+        assert res.stdout == golden_file(name, args).read_bytes(), name
+
+
+def test_every_subcommand_has_a_golden_fixture():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    missing = set(sub.choices) - {args[0] for _, args, _ in GOLDEN_FIXTURES}
+    assert not missing, f"subcommands without a golden fixture: {sorted(missing)}"
