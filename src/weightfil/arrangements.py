@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import CrossCheckError, PreconditionError
-from .galois import GF, enumerate_subspaces, gf_span_vectors
+from .galois import GF, enumerate_subspaces, factor_prime_power, gf_span_vectors
 
 
 def _normalize(gf: GF, vec: tuple):
@@ -187,8 +187,7 @@ def blowup_poincare(r: int, q: int) -> tuple:
     F_{q^s} for s = 1, 2, 3."""
     if r < 0:
         raise PreconditionError("need r >= 0")
-    if q < 2:
-        raise PreconditionError("need q >= 2")
+    factor_prime_power(q)  # F_q must exist
     from .drinfeld import gaussian_binomial
 
     def poly(rr: int) -> list:

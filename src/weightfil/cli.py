@@ -1,10 +1,16 @@
 """Single command-line entry point over JSON inputs.
 
-Every report echoes a sha256 of the input (file bytes, or the canonical
-parameter string for flag-only commands), includes a clause map naming
-what each verifier boolean checks, and is byte-identical across runs for a
-fixed input and seed.  Exit codes: 1 invalid input schema, 2 precondition
-violation, 3 internal cross-check failure.
+Every subcommand is one entry of COMMANDS: its help, the `serialize`
+loader of its JSON input (None for a flag-only command), a function that
+returns the report body, and its integer options.  `main` does the rest
+once: it reads the input, adds the schema/command/input_sha256 header,
+maps errors to exit codes and emits the report.  The sha256 is of the
+input file's bytes, or, for a flag-only command, of the canonical JSON of
+the command name and its required flags, which the report also echoes.
+Reports include a clause map naming what each verifier boolean checks,
+and are byte-identical across runs for a fixed input and seed.  Exit
+codes: 1 invalid input schema, 2 precondition violation (every q must be
+a prime power), 3 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -13,20 +19,21 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
+from typing import Callable, NamedTuple
 
 from .errors import (CrossCheckError, InconclusiveError, PreconditionError,
                      SchemaError)
 from .exact_linalg import rat_str
 from .filtration import graded_dims_to_json
 from . import phin as ph
+from . import serialize
 from . import spectral as sp
 from .arrangements import (blowup_poincare, point_count_oracle,
                            rational_arrangement_poincare)
 from .drinfeld import (LatticeClass, ball, gaussian_binomial,
                        simplices_through_vertex)
 from .nerve import cech_complex, cech_vs_total_check
-from .serialize import (SCHEMA_VERSION, load_filtered_complex, load_nerve,
-                        load_phin, load_steenbrink)
 from .steenbrink import analyze_steenbrink, first_page_dims
 
 JSON_KW = dict(sort_keys=True, separators=(",", ":"))
@@ -37,16 +44,19 @@ def _sha(data: bytes) -> str:
 
 
 def _read_input(path: str):
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    """(parsed JSON, sha256 of its bytes); an unreadable input is a SchemaError."""
     try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    except OSError as e:
+        raise SchemaError(str(e)) from e
+    try:
+        return json.loads(data), _sha(data)
+    except (ValueError, RecursionError) as e:
         raise SchemaError(f"input is not valid JSON: {e}") from e
-    return obj, _sha(data)
 
 
 def _emit(report: dict, fmt: str):
@@ -79,34 +89,22 @@ def _text_lines(obj, indent):
     return out
 
 
-def _pages_json(fc, max_page):
-    pages = {}
-    for r in range(0, max_page + 1):
-        page = sp.e_page(fc, r)
-        pages[str(r)] = {f"{p},{q}": dim
-                         for (p, q), dim in sorted(page.entries.items())}
-    return pages
+def _bidegrees(entries: dict) -> dict:
+    return {f"{p},{q}": d for (p, q), d in sorted(entries.items())}
 
 
-def cmd_phin_analyze(args):
-    obj, digest = _read_input(args.input)
-    D = load_phin(obj)
+def _phin_analyze(D, args):
     ph.validate(D)
     tn, th = ph.t_numbers(D)
     adm = ph.is_weakly_admissible(D, seed=args.seed, budget=args.budget)
     try:
-        ordinary = ph.is_ordinary(D, seed=args.seed, budget=args.budget)
-        ordinary_out = bool(ordinary)
+        ordinary = bool(ph.is_ordinary(D, seed=args.seed, budget=args.budget))
     except InconclusiveError:
-        ordinary_out = "inconclusive"
+        ordinary = "inconclusive"
     mono = ph.monodromy_filtration(D)
     weight = ph.weight_filtration(D)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "phin-analyze",
-        "input_sha256": digest,
-        "dim": D.dim,
-        "p": D.p, "a": D.a, "d": D.d,
+    return {
+        "dim": D.dim, "p": D.p, "a": D.a, "d": D.d,
         "hodge_numbers": graded_dims_to_json(ph.hodge_numbers(D)),
         "newton_numbers": graded_dims_to_json(ph.newton_numbers(D)),
         "t_N": rat_str(tn),
@@ -118,7 +116,7 @@ def cmd_phin_analyze(args):
             "subspaces_checked": adm.checked,
             "witness": adm.witness.to_strings() if adm.witness else None,
         },
-        "ordinary": ordinary_out,
+        "ordinary": ordinary,
         "monodromy_graded": graded_dims_to_json(mono.graded_dims()),
         "weight_graded": graded_dims_to_json(weight.graded_dims()),
         "monodromy_weight_equal": mono.same_filtration(weight),
@@ -131,42 +129,26 @@ def cmd_phin_analyze(args):
                                       "slope-weight filtration of phi step by step",
         },
     }
-    _emit(report, args.format)
 
 
-def cmd_phin_check_mw(args):
-    obj, digest = _read_input(args.input)
-    D = load_phin(obj)
+def _phin_check_mw(D, args):
     ph.validate(D)
     mfil = ph.monodromy_filtration(D)
     wfil = ph.weight_filtration(D)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "phin-check-mw",
-        "input_sha256": digest,
+    return {
         "equal": mfil.same_filtration(wfil),
         "step_diff": [{"r": rat_str(r), "monodromy_dim": a, "weight_dim": b}
                       for r, a, b in mfil.step_diff(wfil)],
         "monodromy_graded": graded_dims_to_json(mfil.graded_dims()),
         "weight_graded": graded_dims_to_json(wfil.graded_dims()),
-        "clauses": {
-            "equal": "M_r = P_r for all r",
-        },
+        "clauses": {"equal": "M_r = P_r for all r"},
     }
-    _emit(report, args.format)
 
 
-def cmd_phin_netcoh(args):
-    obj, digest = _read_input(args.input)
-    D = load_phin(obj)
+def _phin_netcoh(D, args):
     rep = ph.reduced_module_check(D)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "phin-netcoh",
-        "input_sha256": digest,
-        "a": rep.a,
-        "b": rep.b,
-        "c": rep.c,
+    return {
+        "a": rep.a, "b": rep.b, "c": rep.c,
         "dim_C": rep.dim_c,
         "C_meets_middle_level": rep.c_meets_middle,
         "monodromy_weight_equal": rep.mw_holds,
@@ -180,19 +162,14 @@ def cmd_phin_netcoh(args):
                  "the image filtration of the induced nilpotent operator",
         },
     }
-    _emit(report, args.format)
 
 
-def cmd_ss_pages(args):
+def _ss_pages(fc, args):
     if args.max_page < 0:
         raise PreconditionError("--max-page must be >= 0")
-    obj, digest = _read_input(args.input)
-    fc = load_filtered_complex(obj)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "ss-pages",
-        "input_sha256": digest,
-        "pages": _pages_json(fc, args.max_page),
+    return {
+        "pages": {str(r): _bidegrees(sp.e_page(fc, r).entries)
+                  for r in range(args.max_page + 1)},
         "total_cohomology": {str(n): d
                              for n, d in sp.total_cohomology_dims(fc).items()},
         "degeneration_page": sp.degeneration_page(fc, args.max_page),
@@ -201,12 +178,9 @@ def cmd_ss_pages(args):
                                  "bound, null when censored at the bound",
         },
     }
-    _emit(report, args.format)
 
 
-def cmd_ss_cech(args):
-    obj, digest = _read_input(args.input)
-    nd = load_nerve(obj)
+def _ss_cech(nd, args):
     fc = cech_complex(nd)
     h = sp.total_cohomology_dims(fc)
     bound = sp.stable_page_index(fc) + 1
@@ -218,11 +192,8 @@ def cmd_ss_cech(args):
             "labels": {str(p): info["label"]
                        for p, info in sp.abutment_labels(fc, n).items()},
         }
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "ss-cech",
-        "input_sha256": digest,
-        "e1": {f"{p},{q}": d for (p, q), d in sorted(sp.e_page(fc, 1).entries.items())},
+    return {
+        "e1": _bidegrees(sp.e_page(fc, 1).entries),
         "total_cohomology": {str(n): d for n, d in h.items()},
         "abutment": abut,
         "degeneration_page": sp.degeneration_page(fc, bound),
@@ -235,18 +206,12 @@ def cmd_ss_cech(args):
                                    "the same cohomology as the nerve complex",
         },
     }
-    _emit(report, args.format)
 
 
-def cmd_ss_steenbrink(args):
-    obj, digest = _read_input(args.input)
-    sd = load_steenbrink(obj)
+def _ss_steenbrink(sd, args):
     an = analyze_steenbrink(sd)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "ss-steenbrink",
-        "input_sha256": digest,
-        "e1": {f"{p},{q}": d for (p, q), d in sorted(first_page_dims(sd).items())},
+    return {
+        "e1": _bidegrees(first_page_dims(sd)),
         "total_cohomology": {str(n): d for n, d in an.h_dims.items()},
         "weight_graded": {str(n): {str(w): g for w, g in sorted(wg.items())}
                           for n, wg in an.weight_graded.items()},
@@ -261,59 +226,33 @@ def cmd_ss_steenbrink(args):
                                    "order of the deepest stratum level",
         },
     }
-    _emit(report, args.format)
 
 
-def _params_digest(params: dict) -> str:
-    return _sha(json.dumps(params, **JSON_KW).encode())
-
-
-def cmd_drinfeld_ball(args):
-    params = {"command": "drinfeld-ball", "d": args.d, "p": args.p, "n": args.n}
+def _drinfeld_ball(_, args):
     b = ball(LatticeClass.base(args.d, args.p), args.n, args.p, args.d,
              budget=args.budget)
-    by_radius = {}
-    for i, v in enumerate(b.vertices):
-        by_radius.setdefault(b.distance[i], 0)
-        by_radius[b.distance[i]] += 1
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "drinfeld-ball",
-        "input_sha256": _params_digest(params),
-        "d": args.d, "p": args.p, "n": args.n,
+    return {
         "vertex_count": len(b.vertices),
-        "counts_by_radius": {str(r): c for r, c in sorted(by_radius.items())},
+        "counts_by_radius": {str(r): c
+                             for r, c in sorted(Counter(b.distance.values()).items())},
         "edge_count": len(b.adjacency),
         "vertices": [[list(row) for row in v.rep] for v in b.vertices],
     }
-    _emit(report, args.format)
 
 
-def cmd_drinfeld_counts(args):
-    params = {"command": "drinfeld-counts", "d": args.d, "q": args.q, "i": args.i}
-    neighbor_count = sum(gaussian_binomial(args.d + 1, s, args.q)
-                         for s in range(1, args.d + 1))
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "drinfeld-counts",
-        "input_sha256": _params_digest(params),
-        "d": args.d, "q": args.q, "i": args.i,
-        "neighbor_count": neighbor_count,
-        "simplices_through_vertex": simplices_through_vertex(args.d, args.q, args.i),
-        "gaussian_binomials": {str(s): gaussian_binomial(args.d + 1, s, args.q)
-                               for s in range(0, args.d + 2)},
+def _drinfeld_counts(_, args):
+    d, q = args.d, args.q
+    return {
+        "neighbor_count": sum(gaussian_binomial(d + 1, s, q) for s in range(1, d + 1)),
+        "simplices_through_vertex": simplices_through_vertex(d, q, args.i),
+        "gaussian_binomials": {str(s): gaussian_binomial(d + 1, s, q)
+                               for s in range(0, d + 2)},
     }
-    _emit(report, args.format)
 
 
-def cmd_drinfeld_arrangement(args):
-    params = {"command": "drinfeld-arrangement", "r": args.r, "q": args.q}
+def _drinfeld_arrangement(_, args):
     poincare = rational_arrangement_poincare(args.r, args.q)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "drinfeld-arrangement",
-        "input_sha256": _params_digest(params),
-        "r": args.r, "q": args.q,
+    return {
         "poincare": list(poincare),
         "frobenius": [f"q^{m}" for m in range(len(poincare))],
         "cross_check": "pass",
@@ -322,28 +261,53 @@ def cmd_drinfeld_arrangement(args):
                            "lattice Moebius function agree",
         },
     }
-    _emit(report, args.format)
 
 
-def cmd_drinfeld_blowup(args):
-    params = {"command": "drinfeld-blowup", "r": args.r, "q": args.q}
+def _drinfeld_blowup(_, args):
     poincare = blowup_poincare(args.r, args.q)
-    counts = {str(s): point_count_oracle(("iterated_blowup", args.r), args.q, s)
-              for s in (1, 2, 3)}
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "drinfeld-blowup",
-        "input_sha256": _params_digest(params),
-        "r": args.r, "q": args.q,
+    return {
         "poincare": list(poincare),
-        "point_counts": counts,
+        "point_counts": {str(s): point_count_oracle(("iterated_blowup", args.r), args.q, s)
+                         for s in (1, 2, 3)},
         "cross_check": "pass",
         "clauses": {
             "cross_check": "evaluating the even Poincare polynomial at q^s "
                            "reproduces the point count for s = 1, 2, 3",
         },
     }
-    _emit(report, args.format)
+
+
+class Command(NamedTuple):
+    help: str
+    # name of the `serialize` loader, or None: flags only; looked up per call,
+    # so that perfbench's tracer, which rebinds module attributes, sees it
+    loader: str | None
+    body: Callable       # (loaded input or None, parsed args) -> report body
+    options: tuple = ()  # (flag, default, help); default None: required
+
+
+COMMANDS = {
+    "phin-analyze": Command(
+        "full analysis of a (phi,N)-module", "load_phin", _phin_analyze,
+        (("seed", 0, None),
+         ("budget", 64, "random subspaces sampled by the admissibility fallback"))),
+    "phin-check-mw": Command("monodromy vs weight filtration", "load_phin", _phin_check_mw),
+    "phin-netcoh": Command("clause checks on the quotient by C", "load_phin", _phin_netcoh),
+    "ss-pages": Command("spectral sequence pages of a filtered complex",
+                        "load_filtered_complex", _ss_pages, (("max-page", 6, None),)),
+    "ss-cech": Command("nerve Cech complex analysis", "load_nerve", _ss_cech),
+    "ss-steenbrink": Command("weight double complex analysis", "load_steenbrink",
+                             _ss_steenbrink),
+    "drinfeld-ball": Command("enumerate a building ball", None, _drinfeld_ball,
+                             (("d", None, None), ("p", None, None), ("n", None, None),
+                              ("budget", 100_000, None))),
+    "drinfeld-counts": Command("neighbor and simplex counts", None, _drinfeld_counts,
+                               (("d", None, None), ("q", None, None), ("i", None, None))),
+    "drinfeld-arrangement": Command("arrangement complement Betti numbers", None,
+                                    _drinfeld_arrangement, (("r", None, None), ("q", None, None))),
+    "drinfeld-blowup": Command("iterated blow-up Poincare polynomial", None,
+                               _drinfeld_blowup, (("r", None, None), ("q", None, None))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,78 +317,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "filtered-complex spectral sequences, and building / "
                     "arrangement combinatorics.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.loader:
             p.add_argument("input", help="JSON input file, or - for stdin")
         p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p = sub.add_parser("phin-analyze", help="full analysis of a (phi,N)-module")
-    common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=64,
-                   help="random subspaces sampled by the admissibility fallback")
-    p.set_defaults(func=cmd_phin_analyze)
-
-    p = sub.add_parser("phin-check-mw", help="monodromy vs weight filtration")
-    common(p)
-    p.set_defaults(func=cmd_phin_check_mw)
-
-    p = sub.add_parser("phin-netcoh", help="clause checks on the quotient by C")
-    common(p)
-    p.set_defaults(func=cmd_phin_netcoh)
-
-    p = sub.add_parser("ss-pages", help="spectral sequence pages of a filtered complex")
-    common(p)
-    p.add_argument("--max-page", type=int, default=6)
-    p.set_defaults(func=cmd_ss_pages)
-
-    p = sub.add_parser("ss-cech", help="nerve Cech complex analysis")
-    common(p)
-    p.set_defaults(func=cmd_ss_cech)
-
-    p = sub.add_parser("ss-steenbrink", help="weight double complex analysis")
-    common(p)
-    p.set_defaults(func=cmd_ss_steenbrink)
-
-    p = sub.add_parser("drinfeld-ball", help="enumerate a building ball")
-    common(p, needs_input=False)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.set_defaults(func=cmd_drinfeld_ball)
-
-    p = sub.add_parser("drinfeld-counts", help="neighbor and simplex counts")
-    common(p, needs_input=False)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(func=cmd_drinfeld_counts)
-
-    p = sub.add_parser("drinfeld-arrangement", help="arrangement complement Betti numbers")
-    common(p, needs_input=False)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_drinfeld_arrangement)
-
-    p = sub.add_parser("drinfeld-blowup", help="iterated blow-up Poincare polynomial")
-    common(p, needs_input=False)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_drinfeld_blowup)
+        for flag, default, help_ in cmd.options:
+            p.add_argument(f"--{flag}", type=int, default=default,
+                           required=default is None, help=help_)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
+    flags = {flag: getattr(args, flag)
+             for flag, default, _ in cmd.options if default is None}
     try:
-        args.func(args)
+        if cmd.loader:
+            obj, digest = _read_input(args.input)
+            data = getattr(serialize, cmd.loader)(obj)
+        else:
+            data = None
+            params = {"command": args.command, **flags}
+            digest = _sha(json.dumps(params, **JSON_KW).encode())
+        report = {"schema": serialize.SCHEMA_VERSION, "command": args.command,
+                  "input_sha256": digest, **flags, **cmd.body(data, args)}
     except SchemaError as e:
-        sys.stderr.write(f"schema error: {e}\n")
-        return 1
-    except FileNotFoundError as e:
         sys.stderr.write(f"schema error: {e}\n")
         return 1
     except PreconditionError as e:
@@ -433,6 +352,7 @@ def main(argv=None) -> int:
     except CrossCheckError as e:
         sys.stderr.write(f"cross-check failure: {e}\n")
         return 3
+    _emit(report, args.format)
     return 0
 
 

@@ -195,9 +195,6 @@ class BuildingBall:
     adjacency: set          # frozensets {i, j} of vertex indices
     distance: dict          # vertex index -> distance from center
 
-    def sphere(self, r: int) -> list:
-        return [self.vertices[i] for i, dist in self.distance.items() if dist == r]
-
     def neighbors_in_ball(self, i: int) -> list:
         out = []
         for e in self.adjacency:
@@ -276,6 +273,7 @@ def simplices_through_vertex(d: int, q: int, i: int) -> int:
     flags of i-1 proper nonzero subspaces of F_q^(d+1)."""
     if not (1 <= i <= d + 1):
         raise PreconditionError("need 1 <= i <= d + 1")
+    factor_prime_power(q)  # F_q must exist
     from itertools import combinations
     total = 0
     for sig in combinations(range(1, d + 1), i - 1):

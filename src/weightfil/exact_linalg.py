@@ -406,20 +406,14 @@ def solve(m: QMatrix, b: Sequence):
 
 
 def extend_basis(inner: Subspace, outer: Subspace) -> list:
-    """Rows of outer completing inner's basis to a basis of outer."""
+    """Rows of outer completing inner's basis to a basis of outer: the
+    pivot columns of the RREF of inner's then outer's basis rows, taken as
+    columns, pick each outer row that is independent of those before it."""
     if not outer.contains(inner):
         raise ValueError("inner is not contained in outer")
-    rows = [list(r) for r in inner.basis_rows()]
-    comp = []
-    cur = len(_rref(rows)[0]) if rows else 0
-    for r in outer.basis_rows():
-        cand = rows + [list(r)]
-        red, _ = _rref(cand)
-        if len(red) > cur:
-            rows = cand
-            comp.append(tuple(r))
-            cur += 1
-    return comp
+    outer_rows = outer.basis_rows()
+    _, pivots = _rref([list(col) for col in zip(*inner.basis_rows(), *outer_rows)])
+    return [tuple(outer_rows[c - inner.dim]) for c in pivots if c >= inner.dim]
 
 
 class QuotientMap:
@@ -540,9 +534,6 @@ class NewtonPolygon:
 
     def total_length(self) -> int:
         return sum(l for _, l in self.segments)
-
-    def slopes(self) -> dict:
-        return {s: l for s, l in self.segments}
 
 
 def newton_polygon(poly: Polynomial, p: int, a: int = 1) -> NewtonPolygon:

@@ -151,9 +151,6 @@ class GF:
     def add(self, x, y):
         return self.add_table[x][y]
 
-    def sub(self, x, y):
-        return self.add_table[x][self.neg_table[y]]
-
     def mul(self, x, y):
         return self.mul_table[x][y]
 

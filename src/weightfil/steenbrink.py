@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .exact_linalg import QMatrix
+from .exact_linalg import QMatrix, rank
 from .filtration import INCREASING, IndexedFiltration
 from .phin import convolution_step
 from .spectral import (DirectSum, FilteredComplex, abutment_filtration, abutment_quotient,
@@ -174,12 +174,11 @@ class SteenbrinkAnalysis:
 def analyze_steenbrink(sd: SteenbrinkDatum) -> SteenbrinkAnalysis:
     model = _Model(sd)
     fc = steenbrink_double_complex(sd, model)
+    nus = {n: model.monodromy_matrix(n) for n in range(len(model.summands) + 1)}
     # the shift must commute with the assembled total differential
     for n in sorted(model.summands):
-        nu_n = model.monodromy_matrix(n)
-        nu_next = model.monodromy_matrix(n + 1)
         d_n = fc.complex.diff(n)
-        if not (nu_next @ d_n - d_n @ nu_n).is_zero():
+        if not (nus[n + 1] @ d_n - d_n @ nus[n]).is_zero():
             raise PreconditionError("monodromy shift is not a chain map; "
                                     "inconsistent strata maps")
     h_dims = total_cohomology_dims(fc)
@@ -189,15 +188,11 @@ def analyze_steenbrink(sd: SteenbrinkDatum) -> SteenbrinkAnalysis:
     wfils = {}
     mfils = {}
     mw = {}
-    from .exact_linalg import rank as mat_rank
     for n in sorted(h_dims):
         qm = abutment_quotient(fc, n)
-        nu = model.monodromy_matrix(n)
-        cols = [qm.coords(nu.apply(row)) for row in qm.comp_rows]
-        nu_h = QMatrix.from_rows([[cols[j][i] for j in range(qm.dim)]
-                                  for i in range(qm.dim)])
+        nu_h = qm.induced_matrix(nus[n])
         monodromy[n] = nu_h
-        ranks[n] = mat_rank(nu_h)
+        ranks[n] = rank(nu_h)
         fl = abutment_filtration(fc, n)
         weight_graded[n] = {n - int(p): g for p, g in fl.graded_dims().items()}
         lo, hi = fc.p_range()

@@ -146,6 +146,13 @@ def test_blowup_point_counts():
             assert val == point_count_oracle(("iterated_blowup", 2), q, s)
 
 
+def test_blowup_rejects_q_not_a_prime_power():
+    # no field F_6 exists; the arrangement already refuses q = 6
+    for f in (blowup_poincare, rational_arrangement_poincare):
+        with pytest.raises(PreconditionError, match="6 is not a prime power"):
+            f(2, 6)
+
+
 def test_blowup_even_degrees_only():
     for r in (0, 1, 2, 3):
         b = blowup_poincare(r, 2)

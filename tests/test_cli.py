@@ -202,6 +202,31 @@ def assert_schema_error(res):
     assert b"Traceback" not in res.stderr
 
 
+def test_schema_error_undecodable_bytes(tmp_path):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b"\xff\xfe{")
+    assert_schema_error(run_cli(["phin-analyze"], path=p))
+
+
+def test_schema_error_directory_input(tmp_path):
+    assert_schema_error(run_cli(["ss-cech"], path=tmp_path))
+
+
+def test_schema_error_deep_nesting(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    assert_schema_error(run_cli(["ss-pages"], path=p))
+
+
+def test_q_must_be_a_prime_power():
+    for args in (["drinfeld-counts", "--d", "2", "--q", "6", "--i", "2"],
+                 ["drinfeld-blowup", "--r", "2", "--q", "6"],
+                 ["drinfeld-arrangement", "--r", "2", "--q", "6"]):
+        res = run_cli(args)
+        assert res.returncode == 2, args
+        assert b"6 is not a prime power" in res.stderr, args
+
+
 def test_schema_error_fil_row_length(tmp_path):
     obj = dict(TATE_CURVE, fil={"0": [["1", "0"], ["0", "1"]], "1": [["1", "1", "0"]]})
     assert_schema_error(run_cli(["phin-analyze"], path=write(tmp_path, "fil.json", obj)))

@@ -211,6 +211,8 @@ def test_simplices_through_vertex():
 def test_simplices_range():
     with pytest.raises(PreconditionError):
         simplices_through_vertex(2, 2, 4)
+    with pytest.raises(PreconditionError, match="6 is not a prime power"):
+        simplices_through_vertex(2, 6, 2)
 
 
 def test_stratum_type():

@@ -5,8 +5,8 @@ import pytest
 
 from weightfil.errors import PreconditionError
 from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, _rref, char_poly,
-                                    image, kernel, newton_polygon, rank, rat,
-                                    rat_str, subspace_intersect, subspace_sum)
+                                    extend_basis, image, kernel, newton_polygon, rank,
+                                    rat, rat_str, subspace_intersect, subspace_sum)
 
 from conftest import qm, sub
 
@@ -295,3 +295,38 @@ def test_coordinates_match_from_vectors():
         got = Subspace.coordinates(n, coords)
         assert got == Subspace.from_vectors(n, units), (n, coords)
         assert got.dim == len(set(coords)) and got.ambient_dim == n
+
+
+def oracle_extend_basis(inner, outer):
+    """The greedy complement one RREF per outer row: keep each row of outer
+    that raises the rank of inner's rows and the rows kept so far."""
+    rows = [list(r) for r in inner.basis_rows()]
+    comp = []
+    cur = len(_rref(rows)[0]) if rows else 0
+    for r in outer.basis_rows():
+        cand = rows + [list(r)]
+        if len(_rref(cand)[0]) > cur:
+            rows = cand
+            comp.append(tuple(r))
+            cur += 1
+    return comp
+
+
+def test_extend_basis_matches_greedy_oracle():
+    rng = random.Random(20261019)
+    cases = [(Subspace.zero(0), Subspace.full(0)), (Subspace.zero(3), Subspace.zero(3)),
+             (Subspace.zero(3), Subspace.full(3)), (Subspace.full(3), Subspace.full(3))]
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        outer = Subspace.from_vectors(n, _random_rows(rng, rng.randint(0, n), n))
+        rows = outer.basis_rows()
+        coeffs = [[rng.randint(-2, 2) for _ in rows] for _ in range(rng.randint(0, len(rows)))]
+        inner = Subspace.from_vectors(
+            n, [[sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)] for cs in coeffs])
+        cases += [(inner, outer), (outer, outer)]
+    for inner, outer in cases:
+        comp = extend_basis(inner, outer)
+        assert comp == oracle_extend_basis(inner, outer), (inner, outer)
+        assert len(comp) == outer.dim - inner.dim
+    with pytest.raises(ValueError):
+        extend_basis(Subspace.full(2), Subspace.zero(2))
