@@ -94,11 +94,9 @@ def _bidegrees(entries: dict) -> dict:
 
 
 def _phin_analyze(D, args):
-    ph.validate(D)
-    tn, th = ph.t_numbers(D)
     adm = ph.is_weakly_admissible(D, seed=args.seed, budget=args.budget)
     try:
-        ordinary = bool(ph.is_ordinary(D, seed=args.seed, budget=args.budget))
+        ordinary = bool(ph.is_ordinary(D, rep=adm))
     except InconclusiveError:
         ordinary = "inconclusive"
     mono = ph.monodromy_filtration(D)
@@ -107,8 +105,8 @@ def _phin_analyze(D, args):
         "dim": D.dim, "p": D.p, "a": D.a, "d": D.d,
         "hodge_numbers": graded_dims_to_json(ph.hodge_numbers(D)),
         "newton_numbers": graded_dims_to_json(ph.newton_numbers(D)),
-        "t_N": rat_str(tn),
-        "t_H": rat_str(th),
+        "t_N": rat_str(adm.t_N),
+        "t_H": rat_str(adm.t_H),
         "weakly_admissible": {
             "verdict": adm.verdict,
             "certified": adm.certified,

@@ -206,6 +206,8 @@ class BuildingBall:
 
 def ball(center: LatticeClass, n: int, p: int, d: int,
          budget: int = 100_000) -> BuildingBall:
+    if d < 1:
+        raise PreconditionError(f"d must be >= 1 (the building of PGL_(d+1)), got {d}")
     if n < 0:
         raise PreconditionError("radius must be >= 0")
     try:

@@ -7,19 +7,32 @@ phin-netcoh.
 Conventions: the coefficient field is Q carrying the p-adic valuation,
 q = p^a, and phi is an honest linear automorphism.  An eigenvalue of
 valuation v_q = alpha contributes slope alpha and weight 2*alpha.
+
+Weak admissibility compares t_N(W) and t_H(W) on (phi,N)-stable subspaces
+W.  The sum of slope x length over the Newton polygon of phi|W is the
+valuation of its determinant, so t_N(W) = v_p(det phi|W) / a, and the
+induced Hodge filtration is read off ranks: dim(F^i /\\ W) = dim F^i +
+dim W - dim(F^i + W).  `is_ordinary` takes the admissibility report its
+caller already has (`rep`) instead of deciding admissibility again.
+
+A PhiNModule keeps, on itself, what several checks of one module share:
+its validation, the chain ker N^k, im N^k (one product per power), the
+char poly, its rational factors and the slope decomposition of phi, and
+the Hodge levels.  A
+module must not be mutated after construction.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (InconclusiveError, ModuleInvariantError, NilpotencyBoundError,
                      PreconditionError, SlopeDecompositionError)
 from .exact_linalg import (QMatrix, QuotientMap, Subspace, char_poly,
-                           factor_rational_poly, image, kernel,
-                           newton_polygon, rat, subspace_intersect, subspace_sum)
+                           factor_rational_poly, image, kernel, newton_polygon,
+                           pvaluation, rat, subspace_intersect, subspace_sum)
 from .filtration import DECREASING, INCREASING, IndexedFiltration
 from .galois import factor_prime_power
 
@@ -41,6 +54,9 @@ class PhiNModule:
     N: QMatrix
     fil: IndexedFiltration
     gamma_fil: IndexedFiltration | None = None
+    # "valid" -> True, "n_chain" -> _n_chain(N), "char_poly" and "factors"
+    # of phi, "slopes" -> its slope decomposition, "hodge_levels" -> [(i, fil^i)]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -51,8 +67,17 @@ class PhiNModule:
         return self.p ** self.a
 
 
+def _cached(D: PhiNModule, key: str, make):
+    """make(), computed once per module and kept on it."""
+    if key not in D._memo:
+        D._memo[key] = make()
+    return D._memo[key]
+
+
 def validate(D: PhiNModule) -> PhiNModule:
     """Check every module invariant, naming the first one that fails."""
+    if D._memo.get("valid"):
+        return D
     try:
         prime = factor_prime_power(D.p)[1] == 1
     except PreconditionError:
@@ -77,17 +102,58 @@ def validate(D: PhiNModule) -> PhiNModule:
         if D.gamma_fil.ambient_dim != n or D.gamma_fil.orientation != DECREASING:
             raise ModuleInvariantError("filtration", "gamma_fil must be decreasing on Q^dim")
         D.gamma_fil.validate()
+    D._memo["valid"] = True
     return D
 
 
 # ---------------------------------------------------------------------------
 # filtrations attached to N
 
+def _n_chain(N: QMatrix) -> tuple:
+    """(kers, ims): kers[k] = ker N^k and ims[k] = im N^k for k = 0 up to the
+    first power at which the kernels stop growing, after which both chains
+    are constant; one product per power."""
+    kers, ims = [Subspace.zero(N.rows)], [Subspace.full(N.rows)]
+    power = N
+    while True:
+        ker = kernel(power)
+        if ker.dim == kers[-1].dim:
+            break
+        kers.append(ker)
+        ims.append(image(power))
+        if ker.is_full():
+            break
+        power = power @ N
+    return tuple(kers), tuple(ims)
+
+
+def _chain(D: PhiNModule) -> tuple:
+    return _cached(D, "n_chain", lambda: _n_chain(D.N))
+
+
+def _ker_power(N: QMatrix, k: int, chain=None) -> Subspace:
+    """ker N^k, read off `chain` (_n_chain(N)) when given."""
+    if k <= 0:
+        return Subspace.zero(N.rows)
+    if chain is None:
+        return kernel(N.power(k))
+    return chain[0][min(k, len(chain[0]) - 1)]
+
+
+def _im_power(N: QMatrix, k: int, chain=None) -> Subspace:
+    """im N^k, read off `chain` (_n_chain(N)) when given."""
+    if k <= 0:
+        return Subspace.full(N.rows)
+    if chain is None:
+        return image(N.power(k))
+    return chain[1][min(k, len(chain[1]) - 1)]
+
+
 def kernel_filtration(D: PhiNModule) -> IndexedFiltration:
     """Increasing filtration ker_i = ker(N^(i+1)) for i >= 0."""
     steps = {}
     for i in range(D.dim + 1):
-        steps[i] = kernel(D.N.power(i + 1))
+        steps[i] = _ker_power(D.N, i + 1, _chain(D))
         if steps[i].is_full():
             break
     return IndexedFiltration.make(D.dim, INCREASING, steps)
@@ -97,30 +163,21 @@ def image_filtration(D: PhiNModule) -> IndexedFiltration:
     """Decreasing filtration im_j = im(N^j) for j >= 0 (N^0 = identity)."""
     steps = {}
     for j in range(D.dim + 1):
-        steps[j] = image(D.N.power(j))
+        steps[j] = _im_power(D.N, j, _chain(D))
         if steps[j].is_zero():
             break
     return IndexedFiltration.make(D.dim, DECREASING, steps)
 
 
-def _im_power(N: QMatrix, k: int, n: int) -> Subspace:
-    if k <= 0:
-        return Subspace.full(n)
-    return image(N.power(k))
+def convolution_step(N: QMatrix, r: int, chain=None) -> Subspace:
+    """M_r = sum_i ker(N^(i+1)) /\\ im(N^(i-r)).
 
-
-def _ker_power(N: QMatrix, k: int, n: int) -> Subspace:
-    if k <= 0:
-        return Subspace.zero(n)
-    return kernel(N.power(k))
-
-
-def convolution_step(N: QMatrix, r: int) -> Subspace:
-    """M_r = sum_i ker(N^(i+1)) /\\ im(N^(i-r))."""
+    `chain` is _n_chain(N) when the caller keeps one; without it each power
+    of N is formed anew."""
     n = N.rows
     out = Subspace.zero(n)
     for i in range(n + 1):
-        term = subspace_intersect(_ker_power(N, i + 1, n), _im_power(N, i - r, n))
+        term = subspace_intersect(_ker_power(N, i + 1, chain), _im_power(N, i - r, chain))
         out = subspace_sum(out, term)
         if out.is_full():
             break
@@ -131,9 +188,10 @@ def monodromy_filtration(D: PhiNModule) -> IndexedFiltration:
     """The convolution of the kernel and image filtrations of N, indexed on
     [-d, d].  Requires N^(d+1) = 0."""
     n, d = D.dim, D.d
-    if not D.N.power(d + 1).is_zero():
+    chain = _chain(D)
+    if not _ker_power(D.N, d + 1, chain).is_full():
         raise NilpotencyBoundError(f"N^{d + 1} != 0 with d = {d}")
-    steps = {r: convolution_step(D.N, r) for r in range(-d, d + 1)}
+    steps = {r: convolution_step(D.N, r, chain=chain) for r in range(-d, d + 1)}
     return IndexedFiltration.make(n, INCREASING, steps)
 
 
@@ -157,11 +215,18 @@ def hodge_numbers(D: PhiNModule) -> dict:
 def newton_numbers(D: PhiNModule) -> dict:
     """Slope multiplicities of phi, read off the q-adic Newton polygon of
     its characteristic polynomial."""
-    poly = char_poly(D.phi)
-    np_ = newton_polygon(poly, D.p, D.a)
+    np_ = newton_polygon(_char_poly(D), D.p, D.a)
     out = {s: l for s, l in np_.segments}
     assert sum(out.values()) == D.dim
     return out
+
+
+def _char_poly(D: PhiNModule):
+    return _cached(D, "char_poly", lambda: char_poly(D.phi))
+
+
+def _factors(D: PhiNModule) -> list:
+    return _cached(D, "factors", lambda: factor_rational_poly(_char_poly(D)))
 
 
 def t_numbers(D: PhiNModule) -> tuple:
@@ -174,15 +239,17 @@ def t_numbers(D: PhiNModule) -> tuple:
 # ---------------------------------------------------------------------------
 # slope decomposition of phi
 
-def slope_decomposition(phi: QMatrix, p: int, a: int) -> list:
+def slope_decomposition(phi: QMatrix, p: int, a: int, factors=None) -> list:
     """[(slope, phi-stable generalized eigenspace sum)] sorted by slope.
 
-    char(phi) is factored into rational irreducibles; each factor must have
-    a pure Newton polygon, otherwise the valuations of its roots cannot be
-    separated over Q and SlopeDecompositionError is raised.
+    char(phi) is factored into rational irreducibles (`factors`, when the
+    caller has them); each factor must have a pure Newton polygon,
+    otherwise the valuations of its roots cannot be separated over Q and
+    SlopeDecompositionError is raised.
     """
     n = phi.rows
-    factors = factor_rational_poly(char_poly(phi))
+    if factors is None:
+        factors = factor_rational_poly(char_poly(phi))
     by_slope = {}
     for f, mult in factors:
         np_ = newton_polygon(f, p, a)
@@ -200,9 +267,15 @@ def slope_decomposition(phi: QMatrix, p: int, a: int) -> list:
     return out
 
 
+def _slopes(D: PhiNModule) -> list:
+    """slope_decomposition of D.phi, once per module; a failure is not kept."""
+    return _cached(D, "slopes",
+                   lambda: slope_decomposition(D.phi, D.p, D.a, factors=_factors(D)))
+
+
 def slope_filtration(D: PhiNModule) -> IndexedFiltration:
     """Increasing filtration by slope; graded dims equal newton_numbers."""
-    parts = slope_decomposition(D.phi, D.p, D.a)
+    parts = _slopes(D)
     steps = {}
     acc = Subspace.zero(D.dim)
     for s, block in parts:
@@ -214,7 +287,7 @@ def slope_filtration(D: PhiNModule) -> IndexedFiltration:
 def weight_filtration(D: PhiNModule) -> IndexedFiltration:
     """Increasing phi-stable filtration with gr_r pure of weight d + r,
     i.e. all eigenvalue valuations on gr_r equal to (d + r)/2."""
-    parts = slope_decomposition(D.phi, D.p, D.a)
+    parts = _slopes(D)
     steps = {}
     acc = Subspace.zero(D.dim)
     for s, block in parts:
@@ -228,7 +301,7 @@ def gamma_filtration(D: PhiNModule) -> IndexedFiltration:
     slope <= d - r part (Frobenius acts as q^(d-r) on the r-th graded)."""
     if D.gamma_fil is not None:
         return D.gamma_fil
-    parts = slope_decomposition(D.phi, D.p, D.a)
+    parts = _slopes(D)
     n = D.dim
     steps = {}
     for r in range(0, D.d + 2):
@@ -254,20 +327,37 @@ class AdmissibilityReport:
     checked: int = 0
 
 
+def _hodge_levels(D: PhiNModule) -> list:
+    """[(i, fil^i)] for i from one below the lowest listed level to one
+    above the highest."""
+    def make():
+        keys = D.fil.keys()
+        return [(i, D.fil.at(i)) for i in range(int(min(keys)) - 1, int(max(keys)) + 2)]
+    return _cached(D, "hodge_levels", make)
+
+
+def _meet_dim(F: Subspace, W: Subspace) -> int:
+    """dim(F /\\ W) = dim F + dim W - dim(F + W)."""
+    if F.is_zero():
+        return 0
+    if F.is_full():
+        return W.dim
+    return F.dim + W.dim - subspace_sum(F, W).dim
+
+
 def _t_numbers_of_subspace(D: PhiNModule, W: Subspace) -> tuple:
     """(t_N, t_H) of a (phi,N)-stable subspace with the induced filtration."""
-    qm = QuotientMap(Subspace.zero(D.dim), W)
-    phi_w = qm.induced_matrix(D.phi)
-    tn = Fraction(0)
-    if W.dim:
-        np_ = newton_polygon(char_poly(phi_w), D.p, D.a)
-        tn = sum((s * l for s, l in np_.segments), Fraction(0))
-    th = Fraction(0)
-    keys = D.fil.keys()
-    lo, hi = int(min(keys)) - 1, int(max(keys)) + 1
-    for i in range(lo, hi + 1):
-        g = subspace_intersect(D.fil.at(i), W).dim - subspace_intersect(D.fil.at(i + 1), W).dim
-        th += Fraction(i) * g
+    rows = W.basis_rows()
+    # W's RREF rows are the identity at their pivot columns, so a vector of
+    # W has its coordinates there
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    images = [D.phi.apply(row) for row in rows]
+    det = QMatrix.from_rows([[v[j] for j in pivots] for v in images]).det()
+    tn = Fraction(pvaluation(det, D.p), D.a)
+    levels = _hodge_levels(D)
+    dims = [_meet_dim(F, W) for _, F in levels]
+    th = sum((Fraction(i) * (dims[k] - dims[k + 1])
+              for k, (i, _) in enumerate(levels[:-1])), Fraction(0))
     return tn, th
 
 
@@ -278,17 +368,17 @@ def _is_stable(m: QMatrix, W: Subspace) -> bool:
 def _phi_invariant_lattice(D: PhiNModule):
     """All phi-invariant subspaces when phi is cyclic (min poly = char poly),
     else None.  For cyclic phi they are exactly ker(prod f_i^{k_i})."""
-    factors = factor_rational_poly(char_poly(D.phi))
     chains = []
     count = 1
-    for f, mult in factors:
-        geo = kernel(f.of_matrix(D.phi)).dim
-        if geo != f.degree:
-            return None  # more than one block for this factor: not cyclic
-        chain = [Subspace.zero(D.dim)]
+    for f, mult in _factors(D):
         fm = f.of_matrix(D.phi)
-        for k in range(1, mult + 1):
-            chain.append(kernel(fm.power(k)))
+        chain = [Subspace.zero(D.dim), kernel(fm)]
+        if chain[1].dim != f.degree:
+            return None  # more than one block for this factor: not cyclic
+        power = fm
+        for _ in range(2, mult + 1):
+            power = power @ fm
+            chain.append(kernel(power))
         chains.append(chain)
         count *= mult + 1
         if count > INVARIANT_SUBSPACE_GUARD:
@@ -302,18 +392,19 @@ def _phi_invariant_lattice(D: PhiNModule):
 
 def _nilpotent_invariant_lattice(D: PhiNModule):
     """All N-invariant subspaces when N is a single Jordan block."""
-    n = D.dim
-    if n >= 2 and D.N.power(n - 1).is_zero():
+    n, chain = D.dim, _chain(D)
+    if n >= 2 and _ker_power(D.N, n - 1, chain).is_full():
         return None
-    return [_ker_power(D.N, k, n) for k in range(0, n + 1)]
+    return [_ker_power(D.N, k, chain) for k in range(0, n + 1)]
 
 
 def _closure(D: PhiNModule, vectors) -> Subspace:
+    """The smallest (phi,N)-stable subspace containing `vectors`."""
     span = Subspace.from_vectors(D.dim, vectors)
     while True:
-        nxt = span
-        for r in span.basis_rows():
-            nxt = subspace_sum(nxt, Subspace.from_vectors(D.dim, [D.phi.apply(r), D.N.apply(r)]))
+        rows = span.basis_rows()
+        nxt = Subspace.from_vectors(D.dim, rows + [D.phi.apply(r) for r in rows]
+                                    + [D.N.apply(r) for r in rows])
         if nxt.dim == span.dim:
             return span
         span = nxt
@@ -328,11 +419,12 @@ def _sampled_candidates(D: PhiNModule, seed: int, budget: int) -> list:
         if 0 < s.dim < n:
             cands.setdefault(s, None)
 
-    base = [_ker_power(D.N, k, n) for k in range(1, n)] + \
-           [_im_power(D.N, k, n) for k in range(1, n)]
+    chain = _chain(D)
+    base = [_ker_power(D.N, k, chain) for k in range(1, n)] + \
+           [_im_power(D.N, k, chain) for k in range(1, n)]
     try:
         acc = Subspace.zero(n)
-        for _, block in slope_decomposition(D.phi, D.p, D.a):
+        for _, block in _slopes(D):
             acc = subspace_sum(acc, block)
             base.append(acc)  # slope <= s sums are N-stable since N lowers slope
     except SlopeDecompositionError:
@@ -400,11 +492,13 @@ def is_weakly_admissible(D: PhiNModule, seed: int = 0, budget: int = 64) -> Admi
                                method=method, checked=checked)
 
 
-def is_ordinary(D: PhiNModule, seed: int = 0, budget: int = 64) -> bool:
+def is_ordinary(D: PhiNModule, seed: int = 0, budget: int = 64,
+                rep: AdmissibilityReport | None = None) -> bool:
     """Weakly admissible with integral slopes matching the Hodge numbers.
 
-    Raises InconclusiveError if admissibility is only sampled while the two
-    numeric clauses hold."""
+    `rep` is D's admissibility report when the caller has one; otherwise it
+    is computed from seed and budget.  Raises InconclusiveError if
+    admissibility is only sampled while the two numeric clauses hold."""
     hn = newton_numbers(D)
     hh = hodge_numbers(D)
     for alpha in hn:
@@ -412,7 +506,8 @@ def is_ordinary(D: PhiNModule, seed: int = 0, budget: int = 64) -> bool:
             return False
     if {int(a): m for a, m in hn.items()} != dict(hh):
         return False
-    rep = is_weakly_admissible(D, seed=seed, budget=budget)
+    if rep is None:
+        rep = is_weakly_admissible(D, seed=seed, budget=budget)
     if rep.verdict == "sampled_inconclusive":
         raise InconclusiveError(
             "admissibility could not be certified; ordinarity undecided")
@@ -458,21 +553,21 @@ class CollapseReport:
 
 
 def kernel_image_collapse(N: QMatrix, d: int) -> CollapseReport:
-    n = N.rows
-    if not N.power(d + 1).is_zero():
+    chain = _n_chain(N)
+    if not _ker_power(N, d + 1, chain).is_full():
         raise NilpotencyBoundError(f"N^{d + 1} != 0")
     fa, fb = {}, {}
     levels = []
     for j in range(0, d + 2):
-        fa[j] = convolution_step(N, d - 2 * j)
-        fb[j] = convolution_step(N, d - 2 * j + 1)
+        fa[j] = convolution_step(N, d - 2 * j, chain=chain)
+        fb[j] = convolution_step(N, d - 2 * j + 1, chain=chain)
         levels.append((j, fa[j].dim, fb[j].dim))
     h1 = all(fa[j] == fb[j] for j in range(0, d + 2))
-    h2 = kernel(N) == fa[d]
+    h2 = _ker_power(N, 1, chain) == fa[d]
     conclusion = None
     if h1 and h2:
         conclusion = all(
-            _ker_power(N, d + 1 - j, n) == _im_power(N, j, n) == fa[j]
+            _ker_power(N, d + 1 - j, chain) == _im_power(N, j, chain) == fa[j]
             for j in range(0, d + 2))
     return CollapseReport(d, h1, h2, conclusion, tuple(levels))
 
@@ -489,7 +584,7 @@ def cbar_quotient(D: PhiNModule):
     if D.d % 2 == 1:
         c = Subspace.zero(n)
     else:
-        kerN = kernel(D.N)
+        kerN = _ker_power(D.N, 1, _chain(D))
         qm = QuotientMap(Subspace.zero(n), kerN)
         phi_k = qm.induced_matrix(D.phi)
         c = Subspace.zero(n)
@@ -569,11 +664,11 @@ def reduced_module_check(D: PhiNModule) -> ReducedModuleReport:
         if not b_ok:
             break
 
-    nbar = dbar.N
+    nbar, chain = dbar.N, _chain(dbar)
     c_ok = True
     for r in range(0, d + 2):
         fr = gam.at(r)
-        if fr != _ker_power(nbar, d + 1 - r, dbar.dim) or fr != _im_power(nbar, r, dbar.dim):
+        if fr != _ker_power(nbar, d + 1 - r, chain) or fr != _im_power(nbar, r, chain):
             c_ok = False
             break
 

@@ -129,7 +129,8 @@ class FilteredComplex:
     filtration[n][p] = F^p C^n at the listed levels; below the smallest
     listed level the filtration is the full space, above the largest it is
     zero.  `blocks` and `labels` optionally record a bigraded summand
-    decomposition (p, q) -> slice of coordinates and the Frobenius weight
+    decomposition, consecutive slices of coordinates each tagged (p, q),
+    where one (p, q) may tag several slices apart, and the Frobenius weight
     label attached to each (p, q); `filtered_total_complex` fills these in
     for complexes assembled from double complexes.
     """
@@ -336,8 +337,8 @@ def equivariant_degeneration_check(fc: FilteredComplex, bound: int | None = None
         d = fc.complex.diff(n)
         src = _block_slices(fc, n)
         tgt = _block_slices(fc, n + 1)
-        for (pq_s, (s0, s1)) in src.items():
-            for (pq_t, (t0, t1)) in tgt.items():
+        for pq_s, (s0, s1) in src:
+            for pq_t, (t0, t1) in tgt:
                 if fc.labels[pq_s] == fc.labels[pq_t]:
                     continue
                 if any(d.entry(i, j) != 0 for i in range(t0, t1) for j in range(s0, s1)):
@@ -351,11 +352,13 @@ def equivariant_degeneration_check(fc: FilteredComplex, bound: int | None = None
     return True
 
 
-def _block_slices(fc: FilteredComplex, n: int) -> dict:
-    out = {}
+def _block_slices(fc: FilteredComplex, n: int) -> list:
+    """[((p, q), (start, stop))] per block of degree n, in coordinate order;
+    one (p, q) may own several slices."""
+    out = []
     pos = 0
     for (p, q, size) in fc.blocks.get(n, []):
-        out[(p, q)] = (pos, pos + size)
+        out.append(((p, q), (pos, pos + size)))
         pos += size
     return out
 

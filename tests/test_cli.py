@@ -269,6 +269,32 @@ def test_drinfeld_ball_rejects_non_prime_p():
     assert b"p must be a prime" in res.stderr
 
 
+def test_drinfeld_ball_rejects_d_below_one():
+    for d in ("-1", "0"):
+        res = run_cli(["drinfeld-ball", "--d", d, "--p", "2", "--n", "3"])
+        assert res.returncode == 2, d
+        assert b"d must be >= 1" in res.stderr, d
+
+
+def test_phin_analyze_decides_admissibility_once(tmp_path, monkeypatch, capsys):
+    # is_ordinary reuses the report's admissibility verdict
+    from weightfil import cli, phin
+    calls = []
+    real = phin.is_weakly_admissible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phin, "is_weakly_admissible", counted)
+    # both reach is_ordinary's admissibility clause: certified, then sampled
+    for obj, ordinary in ((TATE_CURVE, True), (NETCOH_D2, "inconclusive")):
+        calls.clear()
+        assert cli.main(["phin-analyze", str(write(tmp_path, "m.json", obj))]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["ordinary"] == ordinary
+
+
 def test_text_format(tmp_path):
     p = write(tmp_path, "tate.json", TATE_CURVE)
     res = run_cli(["phin-analyze", "--format", "text"], path=p)

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
@@ -5,17 +7,21 @@ import pytest
 
 from weightfil.errors import (InconclusiveError, ModuleInvariantError,
                               NilpotencyBoundError)
-from weightfil.exact_linalg import (QMatrix, Subspace, image, kernel,
-                                    subspace_intersect)
+from weightfil.exact_linalg import (QMatrix, QuotientMap, Subspace, char_poly,
+                                    image, kernel, newton_polygon,
+                                    subspace_intersect, subspace_sum)
 from weightfil.filtration import DECREASING, IndexedFiltration
-from weightfil.phin import (PhiNModule, cbar_quotient, check_opposite,
-                            convolution_step, gamma_filtration, hodge_numbers,
-                            image_filtration, is_ordinary, is_weakly_admissible,
-                            kernel_filtration, kernel_image_collapse,
-                            monodromy_filtration, monodromy_weight_check,
-                            monodromy_weight_diff, newton_numbers,
-                            reduced_module_check, slope_filtration, t_numbers,
-                            validate, weight_filtration)
+from weightfil.phin import (PhiNModule, _n_chain, _phi_invariant_lattice,
+                            _sampled_candidates, _t_numbers_of_subspace,
+                            cbar_quotient, check_opposite, convolution_step,
+                            gamma_filtration, hodge_numbers, image_filtration,
+                            is_ordinary, is_weakly_admissible, kernel_filtration,
+                            kernel_image_collapse, monodromy_filtration,
+                            monodromy_weight_check, monodromy_weight_diff,
+                            newton_numbers, reduced_module_check,
+                            slope_filtration, t_numbers, validate,
+                            weight_filtration)
+from weightfil.serialize import load_phin
 
 from conftest import (conjugate, jordan_nilpotent, mk_module, qm,
                       random_invertible, random_nilpotent, sub, tate_curve_module,
@@ -488,3 +494,76 @@ def test_ordinary_implies_opposite_filtrations():
                     {0: "full", 1: [[1, 0]]})
     assert is_weakly_admissible(bad).verdict == "not_admissible"
     assert check_opposite(bad.fil, gamma_filtration(bad), bad.d) is False
+
+
+# --- oracles: the routes the rank-only t-numbers and the N chain replaced ---
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def benchmark_modules(seeds):
+    """The benchmark's (phi,N)-modules (dims 2-6, p in {2, 3}), each behind
+    one seeded change of basis per seed, as the CLI loads them."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    for seed in seeds:
+        rng = random.Random(seed)
+        for skel in wl.PHIN_SKELETONS:
+            yield load_phin(wl.phin_payload(skel, wl.change_of_basis(rng, len(skel[3]))))
+
+
+def oracle_t_numbers_of_subspace(D, W):
+    """t_N(W) from the Newton polygon of the char poly of phi|W, and t_H(W)
+    from two intersections per Hodge level."""
+    phi_w = QuotientMap(Subspace.zero(D.dim), W).induced_matrix(D.phi)
+    tn = Fraction(0)
+    if W.dim:
+        np_ = newton_polygon(char_poly(phi_w), D.p, D.a)
+        tn = sum((s * l for s, l in np_.segments), Fraction(0))
+    th = Fraction(0)
+    keys = D.fil.keys()
+    for i in range(int(min(keys)) - 1, int(max(keys)) + 2):
+        g = subspace_intersect(D.fil.at(i), W).dim - subspace_intersect(D.fil.at(i + 1), W).dim
+        th += Fraction(i) * g
+    return tn, th
+
+
+def oracle_convolution_step(N, r):
+    """M_r with every power of N formed on its own."""
+    n = N.rows
+    out = Subspace.zero(n)
+    for i in range(n + 1):
+        ker = kernel(N.power(i + 1))
+        im = image(N.power(i - r)) if i - r > 0 else Subspace.full(n)
+        out = subspace_sum(out, subspace_intersect(ker, im))
+    return out
+
+
+def test_t_numbers_of_subspace_match_oracle():
+    checked = set()
+    for D in benchmark_modules(seeds=(41, 42)):
+        lattice = _phi_invariant_lattice(D) or []
+        for W in lattice + _sampled_candidates(D, seed=7, budget=16):
+            assert _t_numbers_of_subspace(D, W) == oracle_t_numbers_of_subspace(D, W)
+        checked.add((D.dim, D.p, bool(lattice)))
+    assert {d for d, _, _ in checked} == {2, 3, 4, 5, 6}
+    assert {p for _, p, _ in checked} == {2, 3}
+    assert {cyc for _, _, cyc in checked} == {True, False}
+
+
+def test_n_chain_convolution_matches_oracle():
+    rng = random.Random(43)
+    ops = [D.N for D in benchmark_modules(seeds=(44,))]
+    ops += [random_nilpotent(rng, rng.randint(1, 6)) for _ in range(20)]
+    ops += [random_invertible(rng, 3), qm([[0, 1, 0], [0, 0, 0], [0, 0, 2]])]
+    for N in ops:
+        n = N.rows
+        chain = _n_chain(N)
+        for k in range(0, 2 * n + 2):
+            assert chain[0][min(k, len(chain[0]) - 1)] == kernel(N.power(k))
+            assert chain[1][min(k, len(chain[1]) - 1)] == image(N.power(k))
+        for r in range(-n - 1, n + 2):
+            expected = oracle_convolution_step(N, r)
+            assert convolution_step(N, r, chain=chain) == expected
+            assert convolution_step(N, r) == expected

@@ -135,6 +135,19 @@ def test_equivariant_check_label_inconsistent_differential():
         equivariant_degeneration_check(fc)
 
 
+def test_equivariant_check_repeated_bidegree_earlier_slice():
+    # degree 0 lists (0, 0) twice, apart; only its earlier slice maps, by a
+    # nonzero entry, into the (1, 0) block of a different label
+    gc = GradedComplex({0: 3, 1: 1}, {0: qm([[1, 0, 0]])})
+    fil = {0: {0: Subspace.full(3), 1: sub(3, [[0, 1, 0]]), 2: Subspace.zero(3)},
+           1: {1: Subspace.full(1), 2: Subspace.zero(1)}}
+    fc = FilteredComplex(gc, fil,
+                         blocks={0: [(0, 0, 1), (1, -1, 1), (0, 0, 1)], 1: [(1, 0, 1)]},
+                         labels={(0, 0): 0, (1, -1): 0, (1, 0): 5})
+    with pytest.raises(PreconditionError, match=r"\(0, 0\) -> \(1, 0\)"):
+        equivariant_degeneration_check(fc)
+
+
 def test_random_complex_consistency():
     # on random two-term filtered complexes, E_infinity bookkeeping is exact
     rng = random.Random(21)
