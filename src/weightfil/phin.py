@@ -18,8 +18,7 @@ caller already has (`rep`) instead of deciding admissibility again.
 A PhiNModule keeps, on itself, what several checks of one module share:
 its validation, the chain ker N^k, im N^k (one product per power), the
 char poly, its rational factors and the slope decomposition of phi, and
-the Hodge levels.  A
-module must not be mutated after construction.
+the Hodge levels.  A module must not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -151,9 +150,9 @@ def _im_power(N: QMatrix, k: int, chain=None) -> Subspace:
 
 def kernel_filtration(D: PhiNModule) -> IndexedFiltration:
     """Increasing filtration ker_i = ker(N^(i+1)) for i >= 0."""
-    steps = {}
+    steps, chain = {}, _chain(D)
     for i in range(D.dim + 1):
-        steps[i] = _ker_power(D.N, i + 1, _chain(D))
+        steps[i] = _ker_power(D.N, i + 1, chain)
         if steps[i].is_full():
             break
     return IndexedFiltration.make(D.dim, INCREASING, steps)
@@ -161,9 +160,9 @@ def kernel_filtration(D: PhiNModule) -> IndexedFiltration:
 
 def image_filtration(D: PhiNModule) -> IndexedFiltration:
     """Decreasing filtration im_j = im(N^j) for j >= 0 (N^0 = identity)."""
-    steps = {}
+    steps, chain = {}, _chain(D)
     for j in range(D.dim + 1):
-        steps[j] = _im_power(D.N, j, _chain(D))
+        steps[j] = _im_power(D.N, j, chain)
         if steps[j].is_zero():
             break
     return IndexedFiltration.make(D.dim, DECREASING, steps)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import pathlib
 import random
@@ -544,8 +545,11 @@ def test_t_numbers_of_subspace_match_oracle():
     checked = set()
     for D in benchmark_modules(seeds=(41, 42)):
         lattice = _phi_invariant_lattice(D) or []
+        # q = p^2 reads the same phi in other units; both routes divide by a
+        D2 = dataclasses.replace(D, a=2)
         for W in lattice + _sampled_candidates(D, seed=7, budget=16):
             assert _t_numbers_of_subspace(D, W) == oracle_t_numbers_of_subspace(D, W)
+            assert _t_numbers_of_subspace(D2, W) == oracle_t_numbers_of_subspace(D2, W)
         checked.add((D.dim, D.p, bool(lattice)))
     assert {d for d, _, _ in checked} == {2, 3, 4, 5, 6}
     assert {p for _, p, _ in checked} == {2, 3}
