@@ -16,6 +16,7 @@ a prime power), 3 internal cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -308,7 +309,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     ap = argparse.ArgumentParser(
         prog="weightfil",
         description="Exact-arithmetic analyses of filtered (phi,N)-modules, "

@@ -8,6 +8,10 @@ Conventions: the coefficient field is Q carrying the p-adic valuation,
 q = p^a, and phi is an honest linear automorphism.  An eigenvalue of
 valuation v_q = alpha contributes slope alpha and weight 2*alpha.
 
+Every ker N^k, im N^k and "N^k = 0" is read off one chain (`_n_chain`:
+kernels and images of N, N^2, ... up to where they stop changing, one
+product per power); no other power of N is formed.
+
 Weak admissibility compares t_N(W) and t_H(W) on (phi,N)-stable subspaces
 W.  The sum of slope x length over the Newton polygon of phi|W is the
 valuation of its determinant, so t_N(W) = v_p(det phi|W) / a, and the
@@ -15,27 +19,58 @@ induced Hodge filtration is read off ranks: dim(F^i /\\ W) = dim F^i +
 dim W - dim(F^i + W).  `is_ordinary` takes the admissibility report its
 caller already has (`rep`) instead of deciding admissibility again.
 
-A PhiNModule keeps, on itself, what several checks of one module share:
-its validation, the chain ker N^k, im N^k (one product per power), the
-char poly, its rational factors and the slope decomposition of phi, and
-the Hodge levels.  A module must not be mutated after construction.
+A PhiNModule keeps what several checks of one module share as cached
+properties: its validation, the N chain, the char poly of phi, its rational
+factors and the slope filtration.  Each is computed on its first read; a
+read that raises caches nothing.  A module must not be mutated after
+construction; `dataclasses.replace` gives a new module with nothing cached.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (InconclusiveError, ModuleInvariantError, NilpotencyBoundError,
                      PreconditionError, SlopeDecompositionError)
-from .exact_linalg import (QMatrix, QuotientMap, Subspace, char_poly,
+from .exact_linalg import (Polynomial, QMatrix, QuotientMap, Subspace, char_poly,
                            factor_rational_poly, image, kernel, newton_polygon,
                            pvaluation, rat, subspace_intersect, subspace_sum)
 from .filtration import DECREASING, INCREASING, IndexedFiltration
 from .galois import factor_prime_power
 
 INVARIANT_SUBSPACE_GUARD = 100_000
+
+
+class NChain(NamedTuple):
+    """kers[k] = ker N^k and ims[k] = im N^k for k = 0 up to the first power
+    at which the kernels stop growing; both are constant past either end."""
+    kers: tuple
+    ims: tuple
+
+    def ker(self, k: int) -> Subspace:
+        return self.kers[min(max(k, 0), len(self.kers) - 1)]
+
+    def im(self, k: int) -> Subspace:
+        return self.ims[min(max(k, 0), len(self.ims) - 1)]
+
+
+def _n_chain(N: QMatrix) -> NChain:
+    kers, ims = [Subspace.zero(N.rows)], [Subspace.full(N.rows)]
+    power = N
+    while True:
+        ker = kernel(power)
+        if ker.dim == kers[-1].dim:
+            break
+        kers.append(ker)
+        ims.append(image(power))
+        if ker.is_full():
+            break
+        power = power @ N
+    return NChain(tuple(kers), tuple(ims))
 
 
 @dataclass(frozen=True)
@@ -53,9 +88,6 @@ class PhiNModule:
     N: QMatrix
     fil: IndexedFiltration
     gamma_fil: IndexedFiltration | None = None
-    # "valid" -> True, "n_chain" -> _n_chain(N), "char_poly" and "factors"
-    # of phi, "slopes" -> its slope decomposition, "hodge_levels" -> [(i, fil^i)]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -65,94 +97,71 @@ class PhiNModule:
     def q(self) -> int:
         return self.p ** self.a
 
+    @cached_property
+    def valid(self) -> bool:
+        """True once every module invariant holds; else the first that fails
+        is raised."""
+        try:
+            prime = factor_prime_power(self.p)[1] == 1
+        except PreconditionError:
+            prime = False
+        if not prime:
+            raise ModuleInvariantError("p_prime", f"p = {self.p} is not a prime")
+        n = self.dim
+        if self.phi.rows != self.phi.cols or self.N.rows != self.N.cols or self.N.rows != n:
+            raise ModuleInvariantError("shape", "phi and N must be square of equal size")
+        if self.phi.det() == 0:
+            raise ModuleInvariantError("phi_invertible", "det(phi) = 0")
+        if not self.n_chain.ker(n).is_full():
+            raise ModuleInvariantError("n_nilpotent", f"N^{n} != 0")
+        if self.N @ self.phi != (self.phi @ self.N).scale(self.q):
+            raise ModuleInvariantError("commutation", "N phi != q phi N")
+        for name in ("fil", "gamma_fil"):
+            fl = getattr(self, name)
+            if fl is None:
+                continue
+            if fl.ambient_dim != n or fl.orientation != DECREASING:
+                raise ModuleInvariantError("filtration", f"{name} must be decreasing on Q^dim")
+            fl.validate()
+        return True
 
-def _cached(D: PhiNModule, key: str, make):
-    """make(), computed once per module and kept on it."""
-    if key not in D._memo:
-        D._memo[key] = make()
-    return D._memo[key]
+    @cached_property
+    def n_chain(self) -> NChain:
+        return _n_chain(self.N)
+
+    @cached_property
+    def char_poly(self) -> Polynomial:
+        return char_poly(self.phi)
+
+    @cached_property
+    def factors(self) -> list:
+        return factor_rational_poly(self.char_poly)
+
+    @cached_property
+    def slope_fil(self) -> IndexedFiltration:
+        """Increasing filtration by slope of phi: the partial sums of its
+        slope decomposition; graded dims equal newton_numbers."""
+        steps, acc = {}, Subspace.zero(self.dim)
+        for s, block in slope_decomposition(self.phi, self.p, self.a, factors=self.factors):
+            acc = subspace_sum(acc, block)
+            steps[s] = acc
+        return IndexedFiltration.make(self.dim, INCREASING, steps)
 
 
 def validate(D: PhiNModule) -> PhiNModule:
     """Check every module invariant, naming the first one that fails."""
-    if D._memo.get("valid"):
-        return D
-    try:
-        prime = factor_prime_power(D.p)[1] == 1
-    except PreconditionError:
-        prime = False
-    if not prime:
-        raise ModuleInvariantError("p_prime", f"p = {D.p} is not a prime")
-    n = D.dim
-    if D.phi.rows != D.phi.cols or D.N.rows != D.N.cols or D.N.rows != n:
-        raise ModuleInvariantError("shape", "phi and N must be square of equal size")
-    if D.phi.det() == 0:
-        raise ModuleInvariantError("phi_invertible", "det(phi) = 0")
-    if not D.N.power(n).is_zero():
-        raise ModuleInvariantError("n_nilpotent", f"N^{n} != 0")
-    lhs = D.N @ D.phi
-    rhs = (D.phi @ D.N).scale(D.q)
-    if lhs != rhs:
-        raise ModuleInvariantError("commutation", "N phi != q phi N")
-    if D.fil.ambient_dim != n or D.fil.orientation != DECREASING:
-        raise ModuleInvariantError("filtration", "fil must be decreasing on Q^dim")
-    D.fil.validate()
-    if D.gamma_fil is not None:
-        if D.gamma_fil.ambient_dim != n or D.gamma_fil.orientation != DECREASING:
-            raise ModuleInvariantError("filtration", "gamma_fil must be decreasing on Q^dim")
-        D.gamma_fil.validate()
-    D._memo["valid"] = True
+    D.valid  # a cached property: the checks run on the first read only
     return D
 
 
 # ---------------------------------------------------------------------------
 # filtrations attached to N
 
-def _n_chain(N: QMatrix) -> tuple:
-    """(kers, ims): kers[k] = ker N^k and ims[k] = im N^k for k = 0 up to the
-    first power at which the kernels stop growing, after which both chains
-    are constant; one product per power."""
-    kers, ims = [Subspace.zero(N.rows)], [Subspace.full(N.rows)]
-    power = N
-    while True:
-        ker = kernel(power)
-        if ker.dim == kers[-1].dim:
-            break
-        kers.append(ker)
-        ims.append(image(power))
-        if ker.is_full():
-            break
-        power = power @ N
-    return tuple(kers), tuple(ims)
-
-
-def _chain(D: PhiNModule) -> tuple:
-    return _cached(D, "n_chain", lambda: _n_chain(D.N))
-
-
-def _ker_power(N: QMatrix, k: int, chain=None) -> Subspace:
-    """ker N^k, read off `chain` (_n_chain(N)) when given."""
-    if k <= 0:
-        return Subspace.zero(N.rows)
-    if chain is None:
-        return kernel(N.power(k))
-    return chain[0][min(k, len(chain[0]) - 1)]
-
-
-def _im_power(N: QMatrix, k: int, chain=None) -> Subspace:
-    """im N^k, read off `chain` (_n_chain(N)) when given."""
-    if k <= 0:
-        return Subspace.full(N.rows)
-    if chain is None:
-        return image(N.power(k))
-    return chain[1][min(k, len(chain[1]) - 1)]
-
-
 def kernel_filtration(D: PhiNModule) -> IndexedFiltration:
     """Increasing filtration ker_i = ker(N^(i+1)) for i >= 0."""
-    steps, chain = {}, _chain(D)
+    steps = {}
     for i in range(D.dim + 1):
-        steps[i] = _ker_power(D.N, i + 1, chain)
+        steps[i] = D.n_chain.ker(i + 1)
         if steps[i].is_full():
             break
     return IndexedFiltration.make(D.dim, INCREASING, steps)
@@ -160,24 +169,22 @@ def kernel_filtration(D: PhiNModule) -> IndexedFiltration:
 
 def image_filtration(D: PhiNModule) -> IndexedFiltration:
     """Decreasing filtration im_j = im(N^j) for j >= 0 (N^0 = identity)."""
-    steps, chain = {}, _chain(D)
+    steps = {}
     for j in range(D.dim + 1):
-        steps[j] = _im_power(D.N, j, chain)
+        steps[j] = D.n_chain.im(j)
         if steps[j].is_zero():
             break
     return IndexedFiltration.make(D.dim, DECREASING, steps)
 
 
-def convolution_step(N: QMatrix, r: int, chain=None) -> Subspace:
-    """M_r = sum_i ker(N^(i+1)) /\\ im(N^(i-r)).
-
-    `chain` is _n_chain(N) when the caller keeps one; without it each power
-    of N is formed anew."""
-    n = N.rows
-    out = Subspace.zero(n)
-    for i in range(n + 1):
-        term = subspace_intersect(_ker_power(N, i + 1, chain), _im_power(N, i - r, chain))
-        out = subspace_sum(out, term)
+def convolution_step(N: QMatrix, r: int, chain: NChain | None = None) -> Subspace:
+    """M_r = sum_i ker(N^(i+1)) /\\ im(N^(i-r)); `chain` is _n_chain(N),
+    built here when the caller keeps none."""
+    if chain is None:
+        chain = _n_chain(N)
+    out = Subspace.zero(N.rows)
+    for i in range(N.rows + 1):
+        out = subspace_sum(out, subspace_intersect(chain.ker(i + 1), chain.im(i - r)))
         if out.is_full():
             break
     return out
@@ -186,12 +193,10 @@ def convolution_step(N: QMatrix, r: int, chain=None) -> Subspace:
 def monodromy_filtration(D: PhiNModule) -> IndexedFiltration:
     """The convolution of the kernel and image filtrations of N, indexed on
     [-d, d].  Requires N^(d+1) = 0."""
-    n, d = D.dim, D.d
-    chain = _chain(D)
-    if not _ker_power(D.N, d + 1, chain).is_full():
-        raise NilpotencyBoundError(f"N^{d + 1} != 0 with d = {d}")
-    steps = {r: convolution_step(D.N, r, chain=chain) for r in range(-d, d + 1)}
-    return IndexedFiltration.make(n, INCREASING, steps)
+    if not D.n_chain.ker(D.d + 1).is_full():
+        raise NilpotencyBoundError(f"N^{D.d + 1} != 0 with d = {D.d}")
+    steps = {r: convolution_step(D.N, r, chain=D.n_chain) for r in range(-D.d, D.d + 1)}
+    return IndexedFiltration.make(D.dim, INCREASING, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +204,16 @@ def monodromy_filtration(D: PhiNModule) -> IndexedFiltration:
 
 def hodge_numbers(D: PhiNModule) -> dict:
     """h_H(i) = dim fil^i / fil^(i+1), keyed by integer i."""
-    keys = D.fil.keys()
-    lo = int(min(keys)) - 1
-    hi = int(max(keys)) + 1
-    out = {}
-    for i in range(lo, hi + 1):
-        g = D.fil.at(i).dim - D.fil.at(i + 1).dim
-        if g:
-            out[i] = g
-    assert sum(out.values()) == D.dim
-    return out
+    return {int(i): g for i, g in D.fil.graded_dims().items()}
 
 
 def newton_numbers(D: PhiNModule) -> dict:
     """Slope multiplicities of phi, read off the q-adic Newton polygon of
     its characteristic polynomial."""
-    np_ = newton_polygon(_char_poly(D), D.p, D.a)
+    np_ = newton_polygon(D.char_poly, D.p, D.a)
     out = {s: l for s, l in np_.segments}
     assert sum(out.values()) == D.dim
     return out
-
-
-def _char_poly(D: PhiNModule):
-    return _cached(D, "char_poly", lambda: char_poly(D.phi))
-
-
-def _factors(D: PhiNModule) -> list:
-    return _cached(D, "factors", lambda: factor_rational_poly(_char_poly(D)))
 
 
 def t_numbers(D: PhiNModule) -> tuple:
@@ -266,33 +254,17 @@ def slope_decomposition(phi: QMatrix, p: int, a: int, factors=None) -> list:
     return out
 
 
-def _slopes(D: PhiNModule) -> list:
-    """slope_decomposition of D.phi, once per module; a failure is not kept."""
-    return _cached(D, "slopes",
-                   lambda: slope_decomposition(D.phi, D.p, D.a, factors=_factors(D)))
-
-
 def slope_filtration(D: PhiNModule) -> IndexedFiltration:
     """Increasing filtration by slope; graded dims equal newton_numbers."""
-    parts = _slopes(D)
-    steps = {}
-    acc = Subspace.zero(D.dim)
-    for s, block in parts:
-        acc = subspace_sum(acc, block)
-        steps[s] = acc
-    return IndexedFiltration.make(D.dim, INCREASING, steps)
+    return D.slope_fil
 
 
 def weight_filtration(D: PhiNModule) -> IndexedFiltration:
     """Increasing phi-stable filtration with gr_r pure of weight d + r,
     i.e. all eigenvalue valuations on gr_r equal to (d + r)/2."""
-    parts = _slopes(D)
-    steps = {}
-    acc = Subspace.zero(D.dim)
-    for s, block in parts:
-        acc = subspace_sum(acc, block)
-        steps[2 * s - D.d] = acc
-    return IndexedFiltration.make(D.dim, INCREASING, steps)
+    # an increasing reindexing of a valid filtration needs no new checks
+    return IndexedFiltration(D.dim, INCREASING,
+                             tuple((2 * s - D.d, S) for s, S in D.slope_fil.steps))
 
 
 def gamma_filtration(D: PhiNModule) -> IndexedFiltration:
@@ -300,16 +272,8 @@ def gamma_filtration(D: PhiNModule) -> IndexedFiltration:
     slope <= d - r part (Frobenius acts as q^(d-r) on the r-th graded)."""
     if D.gamma_fil is not None:
         return D.gamma_fil
-    parts = _slopes(D)
-    n = D.dim
-    steps = {}
-    for r in range(0, D.d + 2):
-        acc = Subspace.zero(n)
-        for s, block in parts:
-            if s <= D.d - r:
-                acc = subspace_sum(acc, block)
-        steps[r] = acc
-    return IndexedFiltration.make(n, DECREASING, steps)
+    return IndexedFiltration.make(D.dim, DECREASING,
+                                  {r: D.slope_fil.at(D.d - r) for r in range(0, D.d + 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +288,6 @@ class AdmissibilityReport:
     witness: Subspace | None = None
     method: str = ""
     checked: int = 0
-
-
-def _hodge_levels(D: PhiNModule) -> list:
-    """[(i, fil^i)] for i from one below the lowest listed level to one
-    above the highest."""
-    def make():
-        keys = D.fil.keys()
-        return [(i, D.fil.at(i)) for i in range(int(min(keys)) - 1, int(max(keys)) + 2)]
-    return _cached(D, "hodge_levels", make)
 
 
 def _meet_dim(F: Subspace, W: Subspace) -> int:
@@ -353,10 +308,10 @@ def _t_numbers_of_subspace(D: PhiNModule, W: Subspace) -> tuple:
     images = [D.phi.apply(row) for row in rows]
     det = QMatrix.from_rows([[v[j] for j in pivots] for v in images]).det()
     tn = Fraction(pvaluation(det, D.p), D.a)
-    levels = _hodge_levels(D)
-    dims = [_meet_dim(F, W) for _, F in levels]
-    th = sum((Fraction(i) * (dims[k] - dims[k + 1])
-              for k, (i, _) in enumerate(levels[:-1])), Fraction(0))
+    # fil is constant between its listed levels and zero above the last
+    dims = [_meet_dim(F, W) for _, F in D.fil.steps] + [0]
+    th = sum((i * (dims[k] - dims[k + 1]) for k, (i, _) in enumerate(D.fil.steps)),
+             Fraction(0))
     return tn, th
 
 
@@ -369,7 +324,7 @@ def _phi_invariant_lattice(D: PhiNModule):
     else None.  For cyclic phi they are exactly ker(prod f_i^{k_i})."""
     chains = []
     count = 1
-    for f, mult in _factors(D):
+    for f, mult in D.factors:
         fm = f.of_matrix(D.phi)
         chain = [Subspace.zero(D.dim), kernel(fm)]
         if chain[1].dim != f.degree:
@@ -391,10 +346,10 @@ def _phi_invariant_lattice(D: PhiNModule):
 
 def _nilpotent_invariant_lattice(D: PhiNModule):
     """All N-invariant subspaces when N is a single Jordan block."""
-    n, chain = D.dim, _chain(D)
-    if n >= 2 and _ker_power(D.N, n - 1, chain).is_full():
+    n, chain = D.dim, D.n_chain
+    if n >= 2 and chain.ker(n - 1).is_full():
         return None
-    return [_ker_power(D.N, k, chain) for k in range(0, n + 1)]
+    return [chain.ker(k) for k in range(0, n + 1)]
 
 
 def _closure(D: PhiNModule, vectors) -> Subspace:
@@ -418,14 +373,11 @@ def _sampled_candidates(D: PhiNModule, seed: int, budget: int) -> list:
         if 0 < s.dim < n:
             cands.setdefault(s, None)
 
-    chain = _chain(D)
-    base = [_ker_power(D.N, k, chain) for k in range(1, n)] + \
-           [_im_power(D.N, k, chain) for k in range(1, n)]
+    chain = D.n_chain
+    base = [chain.ker(k) for k in range(1, n)] + [chain.im(k) for k in range(1, n)]
     try:
-        acc = Subspace.zero(n)
-        for _, block in _slopes(D):
-            acc = subspace_sum(acc, block)
-            base.append(acc)  # slope <= s sums are N-stable since N lowers slope
+        # slope <= s parts are N-stable since N lowers slope
+        base += [S for _, S in D.slope_fil.steps]
     except SlopeDecompositionError:
         pass
     for s in base:
@@ -553,7 +505,7 @@ class CollapseReport:
 
 def kernel_image_collapse(N: QMatrix, d: int) -> CollapseReport:
     chain = _n_chain(N)
-    if not _ker_power(N, d + 1, chain).is_full():
+    if not chain.ker(d + 1).is_full():
         raise NilpotencyBoundError(f"N^{d + 1} != 0")
     fa, fb = {}, {}
     levels = []
@@ -562,11 +514,11 @@ def kernel_image_collapse(N: QMatrix, d: int) -> CollapseReport:
         fb[j] = convolution_step(N, d - 2 * j + 1, chain=chain)
         levels.append((j, fa[j].dim, fb[j].dim))
     h1 = all(fa[j] == fb[j] for j in range(0, d + 2))
-    h2 = _ker_power(N, 1, chain) == fa[d]
+    h2 = chain.ker(1) == fa[d]
     conclusion = None
     if h1 and h2:
         conclusion = all(
-            _ker_power(N, d + 1 - j, chain) == _im_power(N, j, chain) == fa[j]
+            chain.ker(d + 1 - j) == chain.im(j) == fa[j]
             for j in range(0, d + 2))
     return CollapseReport(d, h1, h2, conclusion, tuple(levels))
 
@@ -583,7 +535,7 @@ def cbar_quotient(D: PhiNModule):
     if D.d % 2 == 1:
         c = Subspace.zero(n)
     else:
-        kerN = _ker_power(D.N, 1, _chain(D))
+        kerN = D.n_chain.ker(1)
         qm = QuotientMap(Subspace.zero(n), kerN)
         phi_k = qm.induced_matrix(D.phi)
         c = Subspace.zero(n)
@@ -663,11 +615,11 @@ def reduced_module_check(D: PhiNModule) -> ReducedModuleReport:
         if not b_ok:
             break
 
-    nbar, chain = dbar.N, _chain(dbar)
+    chain = dbar.n_chain
     c_ok = True
     for r in range(0, d + 2):
         fr = gam.at(r)
-        if fr != _ker_power(nbar, d + 1 - r, chain) or fr != _im_power(nbar, r, chain):
+        if fr != chain.ker(d + 1 - r) or fr != chain.im(r):
             c_ok = False
             break
 

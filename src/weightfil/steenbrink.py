@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .exact_linalg import QMatrix, rank
+from .exact_linalg import QMatrix
 from .filtration import INCREASING, IndexedFiltration
-from .phin import convolution_step
+from .phin import _n_chain, convolution_step
 from .spectral import (DirectSum, FilteredComplex, abutment_filtration, abutment_quotient,
                        block_matrix, filtered_total_complex, total_cohomology_dims)
 
@@ -182,31 +182,24 @@ def analyze_steenbrink(sd: SteenbrinkDatum) -> SteenbrinkAnalysis:
             raise PreconditionError("monodromy shift is not a chain map; "
                                     "inconsistent strata maps")
     h_dims = total_cohomology_dims(fc)
-    weight_graded = {}
-    monodromy = {}
-    ranks = {}
-    wfils = {}
-    mfils = {}
-    mw = {}
-    for n in sorted(h_dims):
-        qm = abutment_quotient(fc, n)
-        nu_h = qm.induced_matrix(nus[n])
-        monodromy[n] = nu_h
-        ranks[n] = rank(nu_h)
-        fl = abutment_filtration(fc, n)
-        weight_graded[n] = {n - int(p): g for p, g in fl.graded_dims().items()}
-        lo, hi = fc.p_range()
-        p_steps = {r: fl.at(-r) for r in range(-hi, -lo + 1)}
-        wfil = IndexedFiltration.make(qm.dim, INCREASING, p_steps)
-        wfils[n] = wfil
-        m_steps = {r: convolution_step(nu_h, r) for r in range(-n - 1, n + 2)}
-        mfil = IndexedFiltration.make(qm.dim, INCREASING, m_steps)
-        mfils[n] = mfil
-        mw[n] = mfil.same_filtration(wfil)
+    weight_graded, monodromy, ranks, wfils, mfils, mw = {}, {}, {}, {}, {}, {}
+    lo, hi = fc.p_range()
     # N^(max level) vanishes on the abutment: levels deeper than the maximal
     # stratum intersection do not exist
-    nilpotent_ok = all(m.power(max(sd.max_level(), 1)).is_zero()
-                       for m in monodromy.values())
+    nilpotent_ok = True
+    for n in sorted(h_dims):
+        qm = abutment_quotient(fc, n)
+        monodromy[n] = nu_h = qm.induced_matrix(nus[n])
+        chain = _n_chain(nu_h)
+        ranks[n] = qm.dim - chain.ker(1).dim
+        nilpotent_ok = nilpotent_ok and chain.ker(max(sd.max_level(), 1)).is_full()
+        fl = abutment_filtration(fc, n)
+        weight_graded[n] = {n - int(p): g for p, g in fl.graded_dims().items()}
+        wfils[n] = IndexedFiltration.make(
+            qm.dim, INCREASING, {r: fl.at(-r) for r in range(-hi, -lo + 1)})
+        mfils[n] = IndexedFiltration.make(qm.dim, INCREASING, {
+            r: convolution_step(nu_h, r, chain=chain) for r in range(-n - 1, n + 2)})
+        mw[n] = mfils[n].same_filtration(wfils[n])
     return SteenbrinkAnalysis(h_dims, weight_graded, monodromy, ranks,
                               nilpotent_ok, wfils, mfils, mw)
 

@@ -295,6 +295,25 @@ def test_phin_analyze_decides_admissibility_once(tmp_path, monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["ordinary"] == ordinary
 
 
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    from weightfil import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    argv = ["drinfeld-counts", "--d", "2", "--q", "2", "--i", "2"]
+    assert cli.main(argv) == 0 and cli.main(argv) == 0
+    assert built.count("weightfil") == 1
+    assert len(built) == 1 + len(cli.COMMANDS)
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+
+
 def test_text_format(tmp_path):
     p = write(tmp_path, "tate.json", TATE_CURVE)
     res = run_cli(["phin-analyze", "--format", "text"], path=p)

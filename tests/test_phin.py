@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from weightfil import phin
 from weightfil.errors import (InconclusiveError, ModuleInvariantError,
-                              NilpotencyBoundError)
+                              NilpotencyBoundError, SlopeDecompositionError)
 from weightfil.exact_linalg import (QMatrix, QuotientMap, Subspace, char_poly,
                                     image, kernel, newton_polygon,
                                     subspace_intersect, subspace_sum)
@@ -571,3 +572,60 @@ def test_n_chain_convolution_matches_oracle():
             expected = oracle_convolution_step(N, r)
             assert convolution_step(N, r, chain=chain) == expected
             assert convolution_step(N, r) == expected
+
+
+# --- cached properties ------------------------------------------------------
+
+def counting(monkeypatch, name):
+    """Replace weightfil.phin.<name> by a wrapper that records its first
+    argument on each call."""
+    calls, fn = [], getattr(phin, name)
+    monkeypatch.setattr(phin, name, lambda x, *a, **k: calls.append(x) or fn(x, *a, **k))
+    return calls
+
+
+def test_module_caches_chain_factors_and_slopes_once(monkeypatch):
+    chains = counting(monkeypatch, "_n_chain")
+    factorings = counting(monkeypatch, "factor_rational_poly")
+    slopes = counting(monkeypatch, "slope_decomposition")
+    for D in benchmark_modules(seeds=(45,)):
+        for _ in range(2):
+            validate(D)
+            rep = is_weakly_admissible(D, seed=1, budget=8)
+            try:
+                is_ordinary(D, rep=rep)
+            except InconclusiveError:
+                pass
+            monodromy_weight_check(D)
+            kernel_filtration(D), image_filtration(D), gamma_filtration(D)
+            _sampled_candidates(D, seed=2, budget=4)
+            reduced_module_check(D)
+        # the quotient D/C has its own module, so count D's operators only
+        assert sum(N is D.N for N in chains) == 1
+        assert sum(f is D.char_poly for f in factorings) == 1
+        assert sum(phi is D.phi for phi in slopes) == 1
+        chains.clear(), factorings.clear(), slopes.clear()
+
+
+def test_failed_slope_decomposition_is_not_cached(monkeypatch):
+    # x^2 + x + 2 is irreducible over Q with 2-adic root valuations 0 and 1
+    D = mk_module(2, 1, 1, [[0, -2], [1, -1]], [[0, 0], [0, 0]], {0: "full"})
+    slopes = counting(monkeypatch, "slope_decomposition")
+    for _ in range(2):
+        with pytest.raises(SlopeDecompositionError):
+            D.slope_fil
+    assert len(slopes) == 2 and "slope_fil" not in vars(D)
+    assert validate(D) is D
+
+
+def test_replace_gives_fresh_cache():
+    D = tate_curve_module()
+    validate(D)
+    assert weight_filtration(D).graded_dims() == {Fraction(-1): 1, Fraction(1): 1}
+    D2 = dataclasses.replace(D, a=2)
+    assert not {"valid", "n_chain", "char_poly", "factors", "slope_fil"} & set(vars(D2))
+    assert D2.q == 4 and D2.slope_fil.graded_dims() == {Fraction(0): 1, Fraction(1, 2): 1}
+    bad = dataclasses.replace(D, N=qm([[1, 0], [0, 0]]))
+    with pytest.raises(ModuleInvariantError) as ei:
+        validate(bad)
+    assert ei.value.invariant == "n_nilpotent"

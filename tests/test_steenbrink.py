@@ -1,6 +1,8 @@
 import pytest
 
 from weightfil.errors import PreconditionError
+from weightfil.exact_linalg import QMatrix, rank
+from weightfil.serialize import load_steenbrink
 from weightfil.spectral import (degeneration_page, e_page,
                                 equivariant_degeneration_check,
                                 total_cohomology_dims)
@@ -9,6 +11,8 @@ from weightfil.steenbrink import (SteenbrinkDatum, analyze_steenbrink,
                                   steenbrink_double_complex)
 
 from conftest import qm
+from test_cli import CYCLE3_STEENBRINK
+from test_phin import oracle_convolution_step
 
 
 def single_component():
@@ -117,3 +121,28 @@ def test_inconsistent_maps_rejected():
         gysins={})
     with pytest.raises(PreconditionError):
         steenbrink_double_complex(sd)
+
+
+def test_analyze_steenbrink_forms_no_matrix_power(monkeypatch):
+    calls = []
+    power = QMatrix.power
+    monkeypatch.setattr(QMatrix, "power", lambda m, k: calls.append(k) or power(m, k))
+    for sd in (cycle_datum(5), load_steenbrink(CYCLE3_STEENBRINK)):
+        analyze_steenbrink(sd)
+    assert calls == []
+
+
+def test_monodromy_chain_matches_per_power_oracle():
+    # the rank, nilpotency and M_r that analyze_steenbrink reads off one
+    # chain per degree, against each power of the monodromy formed on its own
+    for n in range(2, 7):
+        sd = cycle_datum(n)
+        an = analyze_steenbrink(sd)
+        k = max(sd.max_level(), 1)
+        assert an.monodromy_nilpotent_ok == all(
+            nu.power(k).is_zero() for nu in an.monodromy.values())
+        for deg, nu in an.monodromy.items():
+            assert an.monodromy_rank[deg] == rank(nu)
+            mfil = an.monodromy_filtrations[deg]
+            for r in range(-deg - 1, deg + 2):
+                assert mfil.at(r) == oracle_convolution_step(nu, r)
