@@ -82,7 +82,10 @@ def _text_lines(obj, indent):
     elif isinstance(obj, list):
         for v in obj:
             if isinstance(v, (dict, list)):
-                out.extend(_text_lines(v, indent + 1))
+                # "- " marks where the item starts, as in a YAML block sequence
+                lines = _text_lines(v, indent + 1)
+                out.append(f"{pad}- {lines[0][len(pad) + 2:]}" if lines else f"{pad}-")
+                out.extend(lines[1:])
             else:
                 out.append(f"{pad}- {v}")
     else:

@@ -321,6 +321,15 @@ def test_text_format(tmp_path):
     assert b"t_N: 1" in res.stdout
 
 
+def test_text_lines_mark_nested_items():
+    from weightfil.cli import _text_lines
+    report = {"a": [[1, 2], [3], []], "b": [1], "c": [{"x": 1, "y": [2, [4]]}]}
+    assert _text_lines(report, 0) == [
+        "a:", "  - - 1", "    - 2", "  - - 3", "  -",
+        "b:", "  - 1",
+        "c:", "  - x: 1", "    y:", "      - 2", "      - - 4"]
+
+
 # (golden file name, CLI arguments, input document or None); a --format text
 # report is frozen as <name>.txt, every other report as <name>.json
 GOLDEN_FIXTURES = [
