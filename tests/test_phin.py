@@ -596,15 +596,16 @@ def test_module_caches_chain_factors_and_slopes_once(monkeypatch):
                 is_ordinary(D, rep=rep)
             except InconclusiveError:
                 pass
-            monodromy_weight_check(D)
-            kernel_filtration(D), image_filtration(D), gamma_filtration(D)
+            for check in (monodromy_weight_check, kernel_filtration, image_filtration,
+                          gamma_filtration, reduced_module_check):
+                check(D)
             _sampled_candidates(D, seed=2, budget=4)
-            reduced_module_check(D)
         # the quotient D/C has its own module, so count D's operators only
         assert sum(N is D.N for N in chains) == 1
         assert sum(f is D.char_poly for f in factorings) == 1
         assert sum(phi is D.phi for phi in slopes) == 1
-        chains.clear(), factorings.clear(), slopes.clear()
+        for calls in (chains, factorings, slopes):
+            calls.clear()
 
 
 def test_failed_slope_decomposition_is_not_cached(monkeypatch):
