@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import EnumerationBudgetError, PreconditionError
-from .exact_linalg import QMatrix
+from .exact_linalg import QMatrix, inverse
 from .galois import GF, enumerate_subspaces, factor_prime_power
 
 
@@ -142,7 +142,7 @@ def adjacency_subspace_dim(w: LatticeClass, v: LatticeClass, p: int):
     b = QMatrix.from_rows([list(r) for r in v.rep])
     # coordinates of v's basis in w's basis
     coeff = []
-    ainv_rows = _rational_inverse(a)
+    ainv_rows = inverse(a)
     for i in range(n):
         row = b.row(i)
         coeff.append([sum((row[k] * ainv_rows.entry(k, j) for k in range(n)),
@@ -169,17 +169,6 @@ def adjacency_subspace_dim(w: LatticeClass, v: LatticeClass, p: int):
         return None
     # nested reps: index p^(n - s) means subspace dimension s
     return n - v_det
-
-
-def _rational_inverse(m: QMatrix) -> QMatrix:
-    n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    from .exact_linalg import _rref
-    red, piv = _rref(aug)
-    if piv != list(range(n)):
-        raise PreconditionError("matrix is singular")
-    return QMatrix.from_rows([r[n:] for r in red])
 
 
 @dataclass

@@ -139,10 +139,10 @@ class QMatrix:
         return QMatrix(self.rows, n, tuple(ent))
 
     def power(self, k: int) -> "QMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = QMatrix.identity(self.rows)
-        for _ in range(k):
+        if self.rows != self.cols or k < 0:
+            raise ValueError("power of a non-square matrix or to a negative exponent")
+        out = self if k else QMatrix.identity(self.rows)
+        for _ in range(k - 1):
             out = out @ self
         return out
 
@@ -403,6 +403,18 @@ def solve(m: QMatrix, b: Sequence):
             return None
         x[pc] = red[i][n]
     return tuple(x)
+
+
+def inverse(m: QMatrix) -> QMatrix:
+    """m^-1, from one elimination of [m | I]."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("inverse of a non-square matrix")
+    red, pivots = _rref([list(m.row(i)) + [int(i == j) for j in range(n)]
+                         for i in range(n)])
+    if pivots != list(range(n)):
+        raise PreconditionError("matrix is singular")
+    return QMatrix.from_rows([r[n:] for r in red])
 
 
 def extend_basis(inner: Subspace, outer: Subspace) -> list:

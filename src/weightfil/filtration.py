@@ -16,14 +16,18 @@ Semantics of the sparse `steps` map:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
+from operator import itemgetter
 
 from .errors import FiltrationError
 from .exact_linalg import Subspace, rat, rat_str
 
 DECREASING = "decreasing"
 INCREASING = "increasing"
+_INDEX = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -67,19 +71,27 @@ class IndexedFiltration:
         return self
 
     def at(self, i) -> Subspace:
-        i = rat(i)
+        return self._values([rat(i)])[0]
+
+    def _values(self, indices: list) -> list:
+        """[self.at(i) for i in indices], for increasing indices, by one walk
+        over the steps: a decreasing F takes the first step at or above i,
+        an increasing M the last step at or below i."""
+        steps, zero = self.steps, Subspace.zero(self.ambient_dim)
+        out = []
         if self.orientation == DECREASING:
-            for k, s in self.steps:
-                if k >= i:
-                    return s
-            return Subspace.zero(self.ambient_dim)
-        out = None
-        for k, s in self.steps:
-            if k <= i:
-                out = s
-            else:
-                break
-        return out if out is not None else Subspace.zero(self.ambient_dim)
+            pos = bisect_left(steps, indices[0], key=_INDEX) if indices else 0
+            for i in indices:
+                while pos < len(steps) and steps[pos][0] < i:
+                    pos += 1
+                out.append(steps[pos][1] if pos < len(steps) else zero)
+        else:
+            pos = bisect_right(steps, indices[0], key=_INDEX) if indices else 0
+            for i in indices:
+                while pos < len(steps) and steps[pos][0] <= i:
+                    pos += 1
+                out.append(steps[pos - 1][1] if pos else zero)
+        return out
 
     def keys(self) -> list:
         return [k for k, _ in self.steps]
@@ -122,21 +134,25 @@ class IndexedFiltration:
                     keep.append((k, s))
         return IndexedFiltration(self.ambient_dim, self.orientation, tuple(keep))
 
+    def _union_keys(self, other: "IndexedFiltration") -> list:
+        """The indices listed in either filtration, increasing, by one merge."""
+        out = []
+        for k in merge(self.keys(), other.keys()):
+            if not out or out[-1] != k:
+                out.append(k)
+        return out
+
     def same_filtration(self, other: "IndexedFiltration") -> bool:
         if (self.ambient_dim, self.orientation) != (other.ambient_dim, other.orientation):
             return False
-        keys = sorted(set(self.keys()) | set(other.keys()))
-        return all(self.at(k) == other.at(k) for k in keys)
+        keys = self._union_keys(other)
+        return self._values(keys) == other._values(keys)
 
     def step_diff(self, other: "IndexedFiltration") -> list:
         """[(index, self dim, other dim)] at indices where the two differ."""
-        keys = sorted(set(self.keys()) | set(other.keys()))
-        out = []
-        for k in keys:
-            a, b = self.at(k), other.at(k)
-            if a != b:
-                out.append((k, a.dim, b.dim))
-        return out
+        keys = self._union_keys(other)
+        return [(k, a.dim, b.dim)
+                for k, a, b in zip(keys, self._values(keys), other._values(keys)) if a != b]
 
     def map_subspaces(self, fn) -> "IndexedFiltration":
         """Apply a subspace transform stepwise (e.g. a quotient image)."""

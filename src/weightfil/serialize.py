@@ -7,6 +7,7 @@ golden-file reports stay stable.  Rationals travel as strings "num/den"
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -19,6 +20,8 @@ from .steenbrink import SteenbrinkDatum
 
 SCHEMA_VERSION = 1
 SUBSET_SEP = ","
+# an optional sign, decimal digits and an optional /denominator
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 ARROW = "->"
 
 
@@ -42,6 +45,8 @@ def _check_schema(obj: dict, what: str):
 def _parse_rat(x, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (str, int)):
         raise SchemaError(f"{what}: rationals must be strings or integers, got {x!r}")
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise SchemaError(f"{what}: bad rational {x!r}: expected \"num/den\" or \"num\"")
     try:
         return rat(x)
     except (ValueError, ZeroDivisionError) as e:

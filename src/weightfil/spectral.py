@@ -1,15 +1,24 @@
 """Spectral sequences of bounded filtered cochain complexes over Q.
 
-Pages come from the exact subquotient formulas
+The pages are defined by the subquotient formulas
 
     Z_r^{p,q} = F^p C^n  /\\  d^{-1}(F^{p+r} C^{n+1})          (n = p+q)
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2})
 
-with d_r induced by d.  Filtrations are decreasing, exhaustive and bounded,
-and must satisfy d(F^p) <= F^p; a FilteredComplex checks this once, at
-construction.  Each Z_r, each page and each abutment filtration is computed
-at most once per FilteredComplex and kept on it, so a complex must not be
-mutated after construction.
+with d_r induced by d; the tests compute them that way, as an oracle.  Here
+every page is read off one persistence pairing per complex (Zomorodian &
+Carlsson 2005; Basu & Parida 2017): d is written in bases adapted to the
+filtration and its columns are reduced, so that it pairs basis vectors.  A
+pair from level p in degree n to level p' in degree n + 1 has length
+r = p' - p; both ends count in E_r' for every r' <= r, and d_r is the 0/1
+partial identity on the pairs of length r.  Unpaired vectors count on
+every page.
+
+Filtrations are decreasing, exhaustive and bounded, and must satisfy
+d(F^p) <= F^p; a FilteredComplex checks this and d o d = 0 once, at
+construction.  The pairing, each page and each abutment filtration are
+computed at most once per FilteredComplex and kept on it, so a complex must
+not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ from fractions import Fraction
 from itertools import groupby
 
 from .errors import FiltrationError, PreconditionError
-from .exact_linalg import (QMatrix, QuotientMap, Subspace, image, image_of_subspace,
-                           kernel, preimage, subspace_intersect, subspace_sum)
+from .exact_linalg import (QMatrix, QuotientMap, Subspace, _integer_row, _primitive,
+                           extend_basis, image, image_of_subspace, inverse, kernel,
+                           subspace_intersect)
 from .filtration import DECREASING, IndexedFiltration
 
 
@@ -139,7 +149,7 @@ class FilteredComplex:
     filtration: dict
     blocks: dict | None = None    # degree -> ordered list of (p, q, size)
     labels: dict | None = None    # (p, q) -> weight label
-    # ("z", n, p, p + r) -> Z_r, ("page", r) -> Page, ("abutment", n) -> filtration
+    # "pairing" -> _pairing, ("page", r) -> Page, ("abutment", n) -> filtration
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -209,64 +219,85 @@ class Page:
                    for (p, q), d in self.entries.items())
 
 
-def _z_subspace(fc: FilteredComplex, p: int, q: int, r: int) -> Subspace:
-    # F^p is full for p <= lo and zero for p > hi, so Z_r^{p,q} depends
-    # only on the levels p and p + r clamped to [lo, hi + 1]
-    n = p + q
+def _pairing(fc: FilteredComplex):
+    """(levels, pairs): the persistence pairing of fc.
+
+    levels[n] lists the level of each vector of a basis of C^n adapted to
+    the filtration, by decreasing level, so that each F^p C^n is spanned by
+    a prefix.  pairs lists (n, i, j, r): after the columns of d in these
+    bases are reduced from left to right, column i of degree n has its
+    lowest nonzero entry, the one of lowest level, in row j, and
+    r = levels[n + 1][j] - levels[n][i].  Each basis vector lies in at most
+    one pair.
+    """
+    if "pairing" in fc._memo:
+        return fc._memo["pairing"]
     lo, hi = fc.p_range()
-    key = ("z", n, min(max(p, lo), hi + 1), min(max(p + r, lo), hi + 1))
-    if key not in fc._memo:
-        fc._memo[key] = subspace_intersect(
-            fc.fil_at(n, key[2]), preimage(fc.complex.diff(n), fc.fil_at(n + 1, key[3])))
-    return fc._memo[key]
+    levels, basis = {}, {}
+    for n in fc.complex.degrees():
+        levels[n], basis[n] = [], []
+        prev = Subspace.zero(fc.complex.dim(n))
+        for p in range(hi, lo - 1, -1):
+            cur = fc.fil_at(n, p)
+            if cur.dim > prev.dim:
+                new = extend_basis(prev, cur)
+                basis[n] += new
+                levels[n] += [p] * len(new)
+            prev = cur
+    pairs = []
+    for n in levels:
+        if n + 1 not in levels:
+            continue
+        # row i of B_n d^T (B_(n+1)^T)^-1 is column i of d in the adapted
+        # bases, whose vectors are the rows of B_n and B_(n+1)
+        cols = (QMatrix.from_rows(basis[n]) @ fc.complex.diff(n).transpose()
+                @ inverse(QMatrix.from_rows(basis[n + 1])))
+        reduced = {}    # lowest nonzero row -> the reduced column owning it
+        for i in range(cols.rows):
+            col = _integer_row(cols.row(i))
+            low = _lowest(col)
+            while low in reduced:
+                other = reduced[low]
+                col = _primitive([other[low] * x - col[low] * y
+                                  for x, y in zip(col, other)])
+                low = _lowest(col)
+            if low is not None:
+                reduced[low] = col
+                pairs.append((n, i, low, levels[n + 1][low] - levels[n][i]))
+    fc._memo["pairing"] = levels, pairs
+    return levels, pairs
 
 
-def _entry_data(fc: FilteredComplex, p: int, q: int, r: int):
-    """QuotientMap for E_r^{p,q}: Z_r over a denominator built from Z_{r-1},
-    which lies in Z_r because d respects the filtration."""
-    n = p + q
-    z_r = _z_subspace(fc, p, q, r)
-    if r == 0:
-        den = fc.fil_at(n, p + 1)
-    else:
-        z_above = _z_subspace(fc, p + 1, q - 1, r - 1)
-        d_prev = fc.complex.diff(n - 1)
-        z_back = _z_subspace(fc, p - r + 1, q + r - 2, r - 1)
-        den = subspace_sum(z_above, image_of_subspace(d_prev, z_back))
-    return QuotientMap(den, z_r)
+def _lowest(col: list):
+    """Index of the last nonzero entry, or None for a zero column."""
+    return next((k for k in range(len(col) - 1, -1, -1) if col[k]), None)
 
 
 def e_page(fc: FilteredComplex, r: int) -> Page:
-    """Page E_r with its d_r: E_r^{p,q} -> E_r^{p+r, q-r+1}."""
+    """Page E_r with its d_r: E_r^{p,q} -> E_r^{p+r, q-r+1}, in the basis of
+    the basis vectors that are unpaired or lie in a pair of length >= r."""
     if r < 0:
         raise PreconditionError("page index must be >= 0")
     if ("page", r) in fc._memo:
         return fc._memo[("page", r)]
-    maps = {}
-    entries = {}
-    lo, hi = fc.p_range()
-    for (p, q) in [(p, n - p) for n in fc.complex.degrees() for p in range(lo, hi + 1)]:
-        qm = _entry_data(fc, p, q, r)
-        if qm.dim:
-            maps[(p, q)] = qm
-            entries[(p, q)] = qm.dim
+    levels, pairs = _pairing(fc)
+    short = {end for n, i, j, length in pairs if length < r for end in ((n, i), (n + 1, j))}
+    position, entries = {}, {}      # position: (n, i) -> index within its entry
+    for n, lv in levels.items():
+        for i, p in enumerate(lv):
+            if (n, i) not in short:
+                position[(n, i)] = entries.get((p, n - p), 0)
+                entries[(p, n - p)] = position[(n, i)] + 1
     diffs = {}
-    for (p, q), qm in maps.items():
-        tgt = maps.get((p + r, q - r + 1))
-        if tgt is None:
-            continue
-        d = fc.complex.diff(p + q)
-        cols = [tgt.coords(d.apply(row)) for row in qm.comp_rows]
-        mat = QMatrix.from_rows([[cols[j][i] for j in range(qm.dim)]
-                                 for i in range(tgt.dim)])
-        if not mat.is_zero():
-            diffs[(p, q)] = mat
-    page = Page(r, entries, diffs)
-    for (p, q), m in diffs.items():
-        nxt = diffs.get((p + r, q - r + 1))
-        if nxt is not None and not (nxt @ m).is_zero():
-            raise PreconditionError("d_r o d_r != 0; corrupted filtration data")
-    fc._memo[("page", r)] = page
+    for n, i, j, length in pairs:
+        if length == r:
+            src = (levels[n][i], n - levels[n][i])
+            if src not in diffs:
+                diffs[src] = [[0] * entries[src]
+                              for _ in range(entries[(src[0] + r, src[1] - r + 1)])]
+            diffs[src][position[(n + 1, j)]][position[(n, i)]] = 1
+    page = fc._memo[("page", r)] = Page(
+        r, entries, {pq: QMatrix.from_rows(rows) for pq, rows in diffs.items()})
     return page
 
 
@@ -282,10 +313,8 @@ def degeneration_page(fc: FilteredComplex, bound: int):
     censored: no r >= 1 lies within it."""
     if bound < 0:
         raise PreconditionError("bound must be >= 0")
-    last_nonzero = 0
-    for s in range(1, bound + 1):
-        if not e_page(fc, s).is_degenerate():
-            last_nonzero = s
+    last_nonzero = max((length for *_, length in _pairing(fc)[1]
+                        if 1 <= length <= bound), default=0)
     if last_nonzero == bound:
         return None
     return last_nonzero + 1
@@ -346,10 +375,7 @@ def equivariant_degeneration_check(fc: FilteredComplex, bound: int | None = None
                         f"label-inconsistent differential {pq_s} -> {pq_t}")
     if bound is None:
         bound = stable_page_index(fc) + 1
-    for r in range(2, bound + 1):
-        if not e_page(fc, r).is_degenerate():
-            return False
-    return True
+    return not any(2 <= length <= bound for *_, length in _pairing(fc)[1])
 
 
 def _block_slices(fc: FilteredComplex, n: int) -> list:

@@ -66,8 +66,8 @@ def random_invertible(rng, n, spread=2):
 
 
 def conjugate(g, m):
-    from weightfil.drinfeld import _rational_inverse
-    return g @ m @ _rational_inverse(g)
+    from weightfil.exact_linalg import inverse
+    return g @ m @ inverse(g)
 
 
 def random_nilpotent(rng, n):

@@ -218,6 +218,22 @@ def test_schema_error_deep_nesting(tmp_path):
     assert_schema_error(run_cli(["ss-pages"], path=p))
 
 
+def test_schema_error_exponent_rational(tmp_path):
+    # "1e20000" is a 66,439-bit integer from 7 characters; Fraction() reads it
+    obj = dict(TATE_CURVE, phi=[["1e20000", "0"], ["0", "2e20000"]])
+    assert_schema_error(run_cli(["phin-analyze"], path=write(tmp_path, "exp.json", obj)))
+
+
+def test_schema_error_non_digit_rationals(tmp_path):
+    # each string is one that Fraction() reads; the Hodge line is generic
+    # for any value, so only the syntax is wrong
+    for bad in ("1.5", " 2 ", "1_0"):
+        obj = dict(TATE_CURVE, fil={"0": [["1", "0"], ["0", "1"]], "1": [["1", bad]]})
+        res = run_cli(["phin-analyze"], path=write(tmp_path, "syntax.json", obj))
+        assert_schema_error(res)
+        assert repr(bad).encode() in res.stderr, bad
+
+
 def test_q_must_be_a_prime_power():
     for args in (["drinfeld-counts", "--d", "2", "--q", "6", "--i", "2"],
                  ["drinfeld-blowup", "--r", "2", "--q", "6"],

@@ -5,11 +5,10 @@ from math import gcd
 import pytest
 
 from weightfil.errors import EnumerationBudgetError, PreconditionError
-from weightfil.drinfeld import (LatticeClass, SimplexType, _rational_inverse,
-                                adjacency_subspace_dim, ball, gaussian_binomial,
-                                hnf, simplices_through_vertex, stratum_type,
-                                v_n_m, vertex_neighbors)
-from weightfil.exact_linalg import QMatrix
+from weightfil.drinfeld import (LatticeClass, SimplexType, adjacency_subspace_dim,
+                                ball, gaussian_binomial, hnf, simplices_through_vertex,
+                                stratum_type, v_n_m, vertex_neighbors)
+from weightfil.exact_linalg import QMatrix, inverse
 from weightfil.galois import GF, enumerate_subspaces
 
 
@@ -89,7 +88,7 @@ def test_hnf_random_canonical_and_same_lattice():
             assert _is_hnf(h), (rows, h)
             assert hnf(list(h)) == h
             # same lattice: the input lies in the lattice of h, of equal index
-            h_inv = _rational_inverse(QMatrix.from_rows(h))
+            h_inv = inverse(QMatrix.from_rows(h))
             assert all(x.denominator == 1
                        for x in (QMatrix.from_rows(rows) @ h_inv).entries)
             assert QMatrix.from_rows(h).det() == index

@@ -330,3 +330,20 @@ def test_extend_basis_matches_greedy_oracle():
         assert len(comp) == outer.dim - inner.dim
     with pytest.raises(ValueError):
         extend_basis(Subspace.full(2), Subspace.zero(2))
+
+
+def test_power_takes_k_minus_one_products(monkeypatch):
+    m = qm([[1, 2, 0], [0, Fraction(1, 3), -1], [4, 0, 2]])
+    oracle = [QMatrix.identity(3)]
+    for _ in range(5):
+        oracle.append(oracle[-1] @ m)
+    calls = []
+    matmul = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__",
+                        lambda a, b: calls.append(1) or matmul(a, b))
+    for k in range(6):
+        calls.clear()
+        assert m.power(k) == oracle[k]
+        assert len(calls) == max(k - 1, 0)
+    with pytest.raises(ValueError):
+        m.power(-1)

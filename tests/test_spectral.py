@@ -1,16 +1,26 @@
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from weightfil import exact_linalg
 from weightfil.errors import FiltrationError, PreconditionError
-from weightfil.exact_linalg import Subspace
-from weightfil.spectral import (FilteredComplex, GradedComplex,
+from weightfil.exact_linalg import (QMatrix, QuotientMap, Subspace, image_of_subspace,
+                                    preimage, rank, subspace_intersect, subspace_sum)
+from weightfil.nerve import cech_complex
+from weightfil.serialize import load_filtered_complex, load_nerve, load_steenbrink
+from weightfil.spectral import (FilteredComplex, GradedComplex, Page, _pairing,
                                 abutment_filtration, degeneration_page, e_page,
-                                equivariant_degeneration_check,
+                                equivariant_degeneration_check, stable_page_index,
                                 total_cohomology_dims)
+from weightfil.steenbrink import steenbrink_double_complex
 
 from conftest import qm, random_invertible, sub
+from test_cli import CYCLE3_STEENBRINK, D2_COMPLEX, TRIANGLE_NERVE
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def trivial_filtration(gc: GradedComplex) -> FilteredComplex:
@@ -187,7 +197,7 @@ def random_filtered_complex(rng):
     """Pairs x -> y (d x = y, levels a <= b, so d_(b-a) kills them) and
     lone cycles on coordinate levels 0..4, then a random basis change in
     every degree, so that no filtration step is a coordinate span."""
-    from weightfil.drinfeld import _rational_inverse
+    from weightfil.exact_linalg import inverse
     levels = {n: [] for n in range(4)}
     pairs = []
     for _ in range(rng.randint(3, 7)):
@@ -205,7 +215,7 @@ def random_filtered_complex(rng):
             for (m, i, j) in pairs:
                 if m == n:
                     rows[j][i] = 1
-            diffs[n] = g[n + 1] @ qm(rows) @ _rational_inverse(g[n])
+            diffs[n] = g[n + 1] @ qm(rows) @ inverse(g[n])
     fil = {}
     for n, lv in levels.items():
         if lv:
@@ -217,8 +227,8 @@ def random_filtered_complex(rng):
 
 
 def test_memoized_reads_match_fresh_complex_per_request():
-    # a shared complex keeps its pages, Z_r and abutments; reading them in
-    # any order must give what a fresh complex computes for each request
+    # a shared complex keeps its pairing, pages and abutments; reading them
+    # in any order must give what a fresh complex computes for each request
     rng = random.Random(8)
     rs = list(range(0, 6))
     higher = 0
@@ -253,3 +263,137 @@ def test_invalid_complex_raises_at_construction():
         FilteredComplex(GradedComplex({0: 1, 1: 1}, {0: qm([[1]])}),
                         {0: {1: Subspace.full(1), 2: Subspace.zero(1)},
                          1: {0: Subspace.full(1), 1: Subspace.zero(1)}})
+
+
+def _oracle_z(fc, p, q, r, memo):
+    # F^p is full for p <= lo and zero for p > hi, so Z_r^{p,q} depends
+    # only on the levels p and p + r clamped to [lo, hi + 1]
+    n = p + q
+    lo, hi = fc.p_range()
+    key = (n, min(max(p, lo), hi + 1), min(max(p + r, lo), hi + 1))
+    if key not in memo:
+        memo[key] = subspace_intersect(
+            fc.fil_at(n, key[1]), preimage(fc.complex.diff(n), fc.fil_at(n + 1, key[2])))
+    return memo[key]
+
+
+def oracle_e_page(fc, r, memo):
+    """E_r and d_r from the subquotient formulas
+
+        Z_r^{p,q} = F^p C^n  /\\  d^{-1}(F^{p+r} C^{n+1})          (n = p+q)
+        E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2})
+
+    with d_r induced by d, written in the complement bases of QuotientMap.
+    `memo` keeps the Z_r of one complex across pages."""
+    lo, hi = fc.p_range()
+    maps = {}
+    for n in fc.complex.degrees():
+        for p in range(lo, hi + 1):
+            q = n - p
+            z_r = _oracle_z(fc, p, q, r, memo)
+            if r == 0:
+                den = fc.fil_at(n, p + 1)
+            else:
+                den = subspace_sum(_oracle_z(fc, p + 1, q - 1, r - 1, memo),
+                                   image_of_subspace(fc.complex.diff(n - 1),
+                                                     _oracle_z(fc, p - r + 1, q + r - 2,
+                                                               r - 1, memo)))
+            qm_ = QuotientMap(den, z_r)
+            if qm_.dim:
+                maps[(p, q)] = qm_
+    diffs = {}
+    for (p, q), src in maps.items():
+        tgt = maps.get((p + r, q - r + 1))
+        if tgt is None:
+            continue
+        d = fc.complex.diff(p + q)
+        cols = [tgt.coords(d.apply(row)) for row in src.comp_rows]
+        mat = QMatrix.from_rows([[cols[j][i] for j in range(src.dim)]
+                                 for i in range(tgt.dim)])
+        if not mat.is_zero():
+            diffs[(p, q)] = mat
+    return Page(r, {pq: m.dim for pq, m in maps.items()}, diffs)
+
+
+def assert_pages_match_oracle(fc):
+    """Entries and d_r ranks on pages 0..stable + 1, degeneration_page for
+    bounds 0..6, and E_(r+1) = H(E_r, d_r)."""
+    memo = {}
+    top = stable_page_index(fc) + 1
+    oracle = {r: oracle_e_page(fc, r, memo) for r in range(max(top, 6) + 1)}
+    for r in range(top + 1):
+        got, want = e_page(fc, r), oracle[r]
+        assert got.entries == want.entries, r
+        assert ({pq: rank(m) for pq, m in got.differentials.items()}
+                == {pq: rank(m) for pq, m in want.differentials.items()}), r
+    for bound in range(7):
+        last = max((s for s in range(1, bound + 1) if not oracle[s].is_degenerate()),
+                   default=0)
+        assert degeneration_page(fc, bound) == (None if last == bound else last + 1)
+    assert_next_page_is_homology(fc, range(top))
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def complex_of(kind, payload):
+    """The filtered complex that the ss-* command `kind` reads its pages off."""
+    if kind == "ss-cech":
+        return cech_complex(load_nerve(payload))
+    if kind == "ss-steenbrink":
+        return steenbrink_double_complex(load_steenbrink(payload))
+    return load_filtered_complex(payload)
+
+
+def test_pairing_matches_oracle_on_random_complexes():
+    rng = random.Random(16)
+    higher = 0
+    for _ in range(40):
+        fc = FilteredComplex(*random_filtered_complex(rng))
+        assert_pages_match_oracle(fc)
+        higher += degeneration_page(fc, 6) not in (1, 2)
+    assert higher > 0  # some d_r with r >= 2 is nonzero
+
+
+def test_pairing_matches_oracle_on_workload_and_golden_complexes():
+    workloads = load_workloads()
+    cases = [(c.kind, c.payload)
+             for seed in (1, 2) for c in workloads.filtered_cases(
+                 random.Random(f"filtered_complexes:{seed}:0"))]
+    cases += [("ss-cech", TRIANGLE_NERVE), ("ss-steenbrink", CYCLE3_STEENBRINK),
+              ("ss-pages", D2_COMPLEX)]
+    assert {kind for kind, _ in cases} == {"ss-cech", "ss-steenbrink", "ss-pages"}
+    for kind, payload in cases:
+        assert_pages_match_oracle(complex_of(kind, payload))
+
+
+def test_pairing_uses_each_basis_vector_once():
+    rng = random.Random(5)
+    for _ in range(20):
+        fc = FilteredComplex(*random_filtered_complex(rng))
+        levels, pairs = _pairing(fc)
+        ends = [(n, i) for n, i, _, _ in pairs] + [(n + 1, j) for n, _, j, _ in pairs]
+        assert len(ends) == len(set(ends))
+        for n, i, j, length in pairs:
+            assert length == levels[n + 1][j] - levels[n][i] >= 0
+        for lv in levels.values():
+            assert lv == sorted(lv, reverse=True)
+
+
+def test_later_pages_add_no_eliminations(monkeypatch):
+    fc = load_filtered_complex(D2_COMPLEX)
+    calls = []
+    rref = exact_linalg._rref
+    monkeypatch.setattr(exact_linalg, "_rref", lambda rows: calls.append(1) or rref(rows))
+    for r in range(2):
+        e_page(fc, r)
+    first = len(calls)
+    assert first > 0
+    for r in range(7):
+        e_page(fc, r)
+    assert degeneration_page(fc, 6) == 3
+    assert len(calls) == first
