@@ -375,16 +375,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return kernel(stacked)
 
 
-def preimage(m: QMatrix, w: Subspace) -> Subspace:
-    """{x : m x in w}."""
-    if w.ambient_dim != m.rows:
-        raise ValueError("ambient dimension mismatch")
-    k = w.annihilator_matrix()
-    if k.rows == 0:
-        return Subspace.full(m.cols)
-    return kernel(k @ m)
-
-
 def image_of_subspace(m: QMatrix, w: Subspace) -> Subspace:
     """m(w) as a subspace of the target."""
     if w.ambient_dim != m.cols:

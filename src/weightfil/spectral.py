@@ -248,8 +248,8 @@ def _pairing(fc: FilteredComplex):
     for n in levels:
         if n + 1 not in levels:
             continue
-        # row i of B_n d^T (B_(n+1)^T)^-1 is column i of d in the adapted
-        # bases, whose vectors are the rows of B_n and B_(n+1)
+        # with the adapted bases as the rows of B_n and B_(n+1), row i of
+        # B_n d^T B_(n+1)^-1 is column i of d in those bases
         cols = (QMatrix.from_rows(basis[n]) @ fc.complex.diff(n).transpose()
                 @ inverse(QMatrix.from_rows(basis[n + 1])))
         reduced = {}    # lowest nonzero row -> the reduced column owning it

@@ -8,7 +8,8 @@ import pytest
 from weightfil import exact_linalg
 from weightfil.errors import FiltrationError, PreconditionError
 from weightfil.exact_linalg import (QMatrix, QuotientMap, Subspace, image_of_subspace,
-                                    preimage, rank, subspace_intersect, subspace_sum)
+                                    inverse, kernel, rank, subspace_intersect,
+                                    subspace_sum)
 from weightfil.nerve import cech_complex
 from weightfil.serialize import load_filtered_complex, load_nerve, load_steenbrink
 from weightfil.spectral import (FilteredComplex, GradedComplex, Page, _pairing,
@@ -175,7 +176,6 @@ def test_random_complex_consistency():
 
 def assert_next_page_is_homology(fc, rs):
     # dim E_{r+1}^{p,q} = dim ker d_r - rank of the incoming d_r
-    from weightfil.exact_linalg import kernel as mat_kernel, rank as mat_rank
     for r in rs:
         cur = e_page(fc, r)
         nxt = e_page(fc, r + 1)
@@ -184,8 +184,8 @@ def assert_next_page_is_homology(fc, rs):
             dim_cur = cur.entry(p, q)
             out = cur.differentials.get((p, q))
             inc = cur.differentials.get((p - r, q + r - 1))
-            ker_dim = mat_kernel(out).dim if out is not None else dim_cur
-            inc_rank = mat_rank(inc) if inc is not None else 0
+            ker_dim = kernel(out).dim if out is not None else dim_cur
+            inc_rank = rank(inc) if inc is not None else 0
             assert nxt.entry(p, q) == ker_dim - inc_rank
 
 
@@ -197,7 +197,6 @@ def random_filtered_complex(rng):
     """Pairs x -> y (d x = y, levels a <= b, so d_(b-a) kills them) and
     lone cycles on coordinate levels 0..4, then a random basis change in
     every degree, so that no filtration step is a coordinate span."""
-    from weightfil.exact_linalg import inverse
     levels = {n: [] for n in range(4)}
     pairs = []
     for _ in range(rng.randint(3, 7)):
@@ -263,6 +262,12 @@ def test_invalid_complex_raises_at_construction():
         FilteredComplex(GradedComplex({0: 1, 1: 1}, {0: qm([[1]])}),
                         {0: {1: Subspace.full(1), 2: Subspace.zero(1)},
                          1: {0: Subspace.full(1), 1: Subspace.zero(1)}})
+
+
+def preimage(m, w):
+    """{x : m x in w}."""
+    k = w.annihilator_matrix()
+    return kernel(k @ m) if k.rows else Subspace.full(m.cols)
 
 
 def _oracle_z(fc, p, q, r, memo):
