@@ -265,16 +265,13 @@ def simplices_through_vertex(d: int, q: int, i: int) -> int:
     if not (1 <= i <= d + 1):
         raise PreconditionError("need 1 <= i <= d + 1")
     factor_prime_power(q)  # F_q must exist
-    from itertools import combinations
-    total = 0
-    for sig in combinations(range(1, d + 1), i - 1):
-        cnt = 1
-        prev = d + 1
-        for dim in reversed(sig):
-            cnt *= gaussian_binomial(prev, dim, q)
-            prev = dim
-        total += cnt
-    return total
+    # w[m]: flags of k subspaces whose smallest has dimension m, for k = 0 (the
+    # whole space F_q^(d+1) alone) up to i - 1
+    w = [0] * (d + 1) + [1]
+    for _ in range(i - 1):
+        w = [0] + [sum(w[m] * gaussian_binomial(m, s, q) for m in range(s + 1, d + 2))
+                   for s in range(1, d + 1)] + [0]
+    return sum(w)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ Every ker N^k, im N^k and "N^k = 0" is read off one chain (`_n_chain`:
 kernels and images of N, N^2, ... up to where they stop changing, one
 product per power); no other power of N is formed.
 
-Weak admissibility compares t_N(W) and t_H(W) on (phi,N)-stable subspaces
-W.  The sum of slope x length over the Newton polygon of phi|W is the
-valuation of its determinant, so t_N(W) = v_p(det phi|W) / a, and the
-induced Hodge filtration is read off ranks: dim(F^i /\\ W) = dim F^i +
-dim W - dim(F^i + W).  `is_ordinary` takes the admissibility report its
-caller already has (`rep`) instead of deciding admissibility again.
+Weak admissibility compares t_N(W) and t_H(W) on (phi,N)-stable subspaces W.
+One route certifies it: `_stable_lattice` lists all stable W of a cyclic phi;
+other modules are sampled.  The sum of slope x length over the Newton polygon
+of phi|W is the valuation of its determinant, so t_N(W) = v_p(det phi|W) / a,
+and the induced Hodge filtration is read off ranks: dim(F^i /\\ W) = dim F^i +
+dim W - dim(F^i + W).  `is_ordinary` takes the admissibility report its caller
+already has (`rep`) instead of deciding admissibility again.
 
 A PhiNModule keeps what several checks of one module share as cached
 properties: its validation, the N chain, the char poly of phi, its rational
@@ -32,13 +33,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, product
+from math import prod
 from typing import NamedTuple
 
 from .errors import (InconclusiveError, ModuleInvariantError, NilpotencyBoundError,
                      PreconditionError, SlopeDecompositionError)
 from .exact_linalg import (Polynomial, QMatrix, QuotientMap, Subspace, char_poly,
-                           factor_rational_poly, image, kernel, newton_polygon,
-                           pvaluation, rat, subspace_intersect, subspace_sum)
+                           factor_rational_poly, image, image_of_subspace, kernel,
+                           newton_polygon, pvaluation, rat, subspace_intersect,
+                           subspace_sum)
 from .filtration import DECREASING, INCREASING, IndexedFiltration
 from .galois import factor_prime_power
 
@@ -315,41 +319,53 @@ def _t_numbers_of_subspace(D: PhiNModule, W: Subspace) -> tuple:
     return tn, th
 
 
-def _is_stable(m: QMatrix, W: Subspace) -> bool:
-    return all(W.contains_vector(m.apply(r)) for r in W.basis_rows())
-
-
-def _phi_invariant_lattice(D: PhiNModule):
-    """All phi-invariant subspaces when phi is cyclic (min poly = char poly),
-    else None.  For cyclic phi they are exactly ker(prod f_i^{k_i})."""
+def _stable_lattice(D: PhiNModule):
+    """All (phi,N)-stable subspaces when phi is cyclic (min poly = char poly),
+    in the order of the product over D.factors of the chains ker f(phi)^k
+    (first factor outermost, k increasing); None when phi is not cyclic or
+    more than INVARIANT_SUBSPACE_GUARD are stable.  A sum of one ker f(phi)^k
+    per factor is N-stable iff the level of f_q is at least need[f][k], the
+    least level of the chain of f_q holding N ker f(phi)^k.  The edges
+    f -> f_q form disjoint paths, as v_q drops by 1 along each."""
     chains = []
-    count = 1
-    for f, mult in D.factors:
-        fm = f.of_matrix(D.phi)
-        chain = [Subspace.zero(D.dim), kernel(fm)]
+    for f, _ in D.factors:
+        chain = _n_chain(f.of_matrix(D.phi)).kers
         if chain[1].dim != f.degree:
             return None  # more than one block for this factor: not cyclic
-        power = fm
-        for _ in range(2, mult + 1):
-            power = power @ fm
-            chain.append(kernel(power))
         chains.append(chain)
-        count *= mult + 1
-        if count > INVARIANT_SUBSPACE_GUARD:
-            return None
-    subspaces = [Subspace.zero(D.dim)]
-    for chain in chains:
-        subspaces = [subspace_sum(s, c) for s in subspaces for c in chain]
-    uniq = {s: None for s in subspaces}
-    return list(uniq)
+    index = {f: j for j, (f, _) in enumerate(D.factors)}
+    succ, need = {}, {}
+    for j, (f, _) in enumerate(D.factors):
+        # f_q(x) = f(qx) / q^deg(f), whose roots are f's divided by q
+        fq = Polynomial.from_coeffs([c * Fraction(D.q) ** (i - f.degree)
+                                     for i, c in enumerate(f.coeffs)])
+        if fq in index:
+            succ[j] = t = index[fq]
+            need[j] = [next(k for k, T in enumerate(chains[t]) if T.contains(NS))
+                       for NS in (image_of_subspace(D.N, S) for S in chains[j])]
 
+    def ways(j):
+        """The number of stable choices from j to the end of its path, per level of j."""
+        if j not in succ:
+            return [1] * len(chains[j])
+        tail = list(accumulate(reversed(ways(succ[j]))))[::-1]
+        return [tail[k] for k in need[j]]
 
-def _nilpotent_invariant_lattice(D: PhiNModule):
-    """All N-invariant subspaces when N is a single Jordan block."""
-    n, chain = D.dim, D.n_chain
-    if n >= 2 and chain.ker(n - 1).is_full():
+    def choices(j):
+        """The stable choices [(j, k), (f_q, k'), ...] from j to the end of its path."""
+        tails = choices(succ[j]) if j in succ else [[]]
+        return [[(j, k)] + s for k in range(len(chains[j])) for s in tails
+                if not s or s[0][1] >= need[j][k]]
+
+    heads = [j for j in range(len(chains)) if j not in succ.values()]
+    if prod(sum(ways(j)) for j in heads) > INVARIANT_SUBSPACE_GUARD:
         return None
-    return [chain.ker(k) for k in range(0, n + 1)]
+    # one choice per path; sorting by the levels in D.factors order gives the product order
+    picks = sorted([k for _, k in sorted(sum(combo, []))]
+                   for combo in product(*map(choices, heads)))
+    return [Subspace.from_vectors(D.dim, [r for j, k in enumerate(ks)
+                                          for r in chains[j][k].basis_rows()])
+            for ks in picks]
 
 
 def _closure(D: PhiNModule, vectors) -> Subspace:
@@ -401,9 +417,9 @@ def _sampled_candidates(D: PhiNModule, seed: int, budget: int) -> list:
 def is_weakly_admissible(D: PhiNModule, seed: int = 0, budget: int = 64) -> AdmissibilityReport:
     """t_N = t_H globally and t_N >= t_H on every (phi,N)-stable subspace.
 
-    Certified when the joint invariant-subspace lattice is finite along a
-    recognized route (cyclic phi, or N a single Jordan block); otherwise a
-    sampled verdict.  A violating witness always certifies non-admissibility.
+    Certified ("cyclic-phi") when phi is cyclic and at most
+    INVARIANT_SUBSPACE_GUARD subspaces are stable; otherwise a sampled
+    verdict.  A violating witness always certifies non-admissibility.
     """
     validate(D)
     tn, th = t_numbers(D)
@@ -411,21 +427,11 @@ def is_weakly_admissible(D: PhiNModule, seed: int = 0, budget: int = 64) -> Admi
         return AdmissibilityReport(tn, th, "not_admissible", True,
                                    witness=None, method="global", checked=0)
 
-    candidates = None
-    method = ""
-    lattice = _phi_invariant_lattice(D)
-    if lattice is not None:
-        candidates = [s for s in lattice if _is_stable(D.N, s)]
-        method = "cyclic-phi"
-    else:
-        lattice = _nilpotent_invariant_lattice(D)
-        if lattice is not None:
-            candidates = [s for s in lattice if _is_stable(D.phi, s)]
-            method = "cyclic-N"
+    candidates = _stable_lattice(D)
     certified = candidates is not None
-    if candidates is None:
+    method = "cyclic-phi" if certified else "sampled"
+    if not certified:
         candidates = _sampled_candidates(D, seed, budget)
-        method = "sampled"
 
     checked = 0
     for W in candidates:
@@ -436,11 +442,8 @@ def is_weakly_admissible(D: PhiNModule, seed: int = 0, budget: int = 64) -> Admi
         if wtn < wth:
             return AdmissibilityReport(tn, th, "not_admissible", True,
                                        witness=W, method=method, checked=checked)
-    if certified:
-        return AdmissibilityReport(tn, th, "admissible", True,
-                                   method=method, checked=checked)
-    return AdmissibilityReport(tn, th, "sampled_inconclusive", False,
-                               method=method, checked=checked)
+    verdict = "admissible" if certified else "sampled_inconclusive"
+    return AdmissibilityReport(tn, th, verdict, certified, method=method, checked=checked)
 
 
 def is_ordinary(D: PhiNModule, seed: int = 0, budget: int = 64,

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -169,6 +170,15 @@ def test_drinfeld_commands():
     assert rep["point_counts"]["1"] == 21
 
 
+def test_drinfeld_counts_large_d():
+    # the timeout only keeps a regression from hanging the suite
+    res = subprocess.run([sys.executable, "-m", "weightfil.cli", "drinfeld-counts",
+                          "--d", "40", "--q", "2", "--i", "20"], capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    rep = json.loads(res.stdout)
+    assert rep["simplices_through_vertex"] > rep["neighbor_count"] > 0
+
+
 def test_exit_code_schema_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -309,6 +319,23 @@ def test_phin_analyze_decides_admissibility_once(tmp_path, monkeypatch, capsys):
         assert cli.main(["phin-analyze", str(write(tmp_path, "m.json", obj))]) == 0
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["ordinary"] == ordinary
+
+
+def test_phin_analyze_certifies_two_blocks_past_the_phi_guard(tmp_path):
+    # Jordan blocks of sizes 9 and 8 with units 1 and 3: 2^17 phi-invariant
+    # subspaces, more than INVARIANT_SUBSPACE_GUARD, of which 10 * 9 are stable
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    skel = (2, 8, [(9, 0, 1), (8, 0, 3)], list(range(9)) + list(range(8)))
+    res = run_cli(["phin-analyze"], path=write(tmp_path, "m.json", wl.phin_payload(skel)))
+    assert res.returncode == 0, res.stderr
+    adm = json.loads(res.stdout)["weakly_admissible"]
+    expected = wl.phin_expect(skel)["admissibility"]
+    assert expected == {"verdict": "admissible", "certified": True,
+                        "method": "cyclic-phi", "subspaces_checked": 88}
+    assert {k: adm[k] for k in expected} == expected
 
 
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):

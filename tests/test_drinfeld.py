@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from weightfil import drinfeld
 from weightfil.errors import EnumerationBudgetError, PreconditionError
 from weightfil.drinfeld import (LatticeClass, SimplexType, adjacency_subspace_dim,
                                 ball, gaussian_binomial, hnf, simplices_through_vertex,
@@ -205,6 +206,48 @@ def test_simplices_through_vertex():
     assert simplices_through_vertex(2, 2, 2) == 14
     assert simplices_through_vertex(2, 2, 3) == 21
     assert simplices_through_vertex(1, 3, 2) == 4
+
+
+def oracle_simplices_through_vertex(d, q, i):
+    """The product of Gaussian binomials along every flag signature."""
+    total = 0
+    for sig in combinations(range(1, d + 1), i - 1):
+        cnt = 1
+        prev = d + 1
+        for dim in reversed(sig):
+            cnt *= gaussian_binomial(prev, dim, q)
+            prev = dim
+        total += cnt
+    return total
+
+
+def test_simplices_through_vertex_matches_oracle():
+    for d in range(0, 9):
+        for q in (2, 3, 4):
+            for i in range(1, d + 2):
+                expected = oracle_simplices_through_vertex(d, q, i)
+                assert simplices_through_vertex(d, q, i) == expected, (d, q, i)
+
+
+def test_simplices_through_vertex_complete_flags(monkeypatch):
+    # complete flags of F_2^41 number prod_(k=1..41) [k]_2, with [k]_2 = 2^k - 1
+    expected = 1
+    for k in range(1, 42):
+        expected *= 2 ** k - 1
+    assert simplices_through_vertex(40, 2, 41) == expected
+    # the walk over flag signatures makes C(40, 19) * 19 calls at i = 20
+    budget, calls = 20 * 42 ** 2, []
+    real = drinfeld.gaussian_binomial
+
+    def budgeted(*args):
+        calls.append(args)
+        if len(calls) > budget:
+            raise AssertionError(f"more than {budget} gaussian_binomial calls")
+        return real(*args)
+
+    monkeypatch.setattr(drinfeld, "gaussian_binomial", budgeted)
+    assert simplices_through_vertex(40, 2, 20) > 0
+    assert 0 < len(calls) <= budget
 
 
 def test_simplices_range():

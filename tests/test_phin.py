@@ -13,16 +13,15 @@ from weightfil.exact_linalg import (QMatrix, QuotientMap, Subspace, char_poly,
                                     image, kernel, newton_polygon,
                                     subspace_intersect, subspace_sum)
 from weightfil.filtration import DECREASING, IndexedFiltration
-from weightfil.phin import (PhiNModule, _n_chain, _phi_invariant_lattice,
-                            _sampled_candidates, _t_numbers_of_subspace,
-                            cbar_quotient, check_opposite, convolution_step,
-                            gamma_filtration, hodge_numbers, image_filtration,
-                            is_ordinary, is_weakly_admissible, kernel_filtration,
-                            kernel_image_collapse, monodromy_filtration,
-                            monodromy_weight_check, monodromy_weight_diff,
-                            newton_numbers, reduced_module_check,
-                            slope_filtration, t_numbers, validate,
-                            weight_filtration)
+from weightfil.phin import (PhiNModule, _n_chain, _sampled_candidates, _stable_lattice,
+                            _t_numbers_of_subspace, cbar_quotient, check_opposite,
+                            convolution_step, gamma_filtration, hodge_numbers,
+                            image_filtration, is_ordinary, is_weakly_admissible,
+                            kernel_filtration, kernel_image_collapse,
+                            monodromy_filtration, monodromy_weight_check,
+                            monodromy_weight_diff, newton_numbers,
+                            reduced_module_check, slope_filtration, t_numbers,
+                            validate, weight_filtration)
 from weightfil.serialize import load_phin
 
 from conftest import (conjugate, jordan_nilpotent, mk_module, qm,
@@ -300,6 +299,69 @@ def test_sampled_fallback_path():
     assert not rep.certified or rep.verdict == "not_admissible"
 
 
+def budget_spans(monkeypatch, budget):
+    """Raise once more than `budget` subspaces are built (Subspace.from_vectors,
+    one elimination each: every kernel, sum and span) outside
+    phin._t_numbers_of_subspace, whose sums are one per Hodge level of each
+    checked subspace.  Returns the count so far."""
+    state = {"built": 0, "paused": False}
+    build, t_numbers_of = Subspace.from_vectors, phin._t_numbers_of_subspace
+
+    def counted(*args):
+        if not state["paused"]:
+            state["built"] += 1
+            if state["built"] > budget:
+                raise AssertionError(f"more than {budget} subspaces built")
+        return build(*args)
+
+    def uncounted(D, W):
+        state["paused"] = True
+        try:
+            return t_numbers_of(D, W)
+        finally:
+            state["paused"] = False
+
+    monkeypatch.setattr(Subspace, "from_vectors", staticmethod(counted))
+    monkeypatch.setattr(phin, "_t_numbers_of_subspace", uncounted)
+    return state
+
+
+def _single_block_full_flag(n, p=2):
+    """phi = diag(1, q, ..., q^(n-1)), N e_k = e_(k-1), Fil^i = span(e_i, ...),
+    so t_N = t_H on every ker N^k and the module is admissible."""
+    phi = qm([[p ** i if i == j else 0 for j in range(n)] for i in range(n)])
+    N = qm([[int(j == i + 1) for j in range(n)] for i in range(n)])
+    fil = IndexedFiltration.make(n, DECREASING,
+                                 {i: Subspace.coordinates(n, range(i, n)) for i in range(n)})
+    return PhiNModule(p, 1, n - 1, phi, N, fil)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_single_block_certifies_cyclic_phi(monkeypatch, n):
+    # a few spans per factor (its kernel chain and the image of it under N)
+    # and one per stable subspace, not one per phi-invariant sum (2^n)
+    D = _single_block_full_flag(n)
+    built = budget_spans(monkeypatch, 8 * n)
+    rep = is_weakly_admissible(D)
+    assert (rep.verdict, rep.certified, rep.method, rep.checked) == \
+        ("admissible", True, "cyclic-phi", n - 1)
+    assert built["built"] <= 8 * n
+
+
+def test_n_zero_past_the_guard_samples_without_listing(monkeypatch):
+    # 17 distinct eigenvalues and N = 0: all 2^17 phi-invariant subspaces
+    # are stable, more than INVARIANT_SUBSPACE_GUARD
+    n = 17
+    phi = qm([[2 * i + 1 if i == j else 0 for j in range(n)] for i in range(n)])
+    D = PhiNModule(2, 1, 0, phi, QMatrix.zero(n, n),
+                   IndexedFiltration.make(n, DECREASING, {0: Subspace.full(n)}))
+    # at most n + 1 spans per sampled closure (64 of them) and a few per factor
+    budget_spans(monkeypatch, (64 + 2 * n) * (n + 1))
+    rep = is_weakly_admissible(D, budget=64)
+    assert (rep.verdict, rep.certified, rep.method) == ("sampled_inconclusive", False, "sampled")
+    assert _stable_lattice(D) is None
+
+
 def test_ordinary_examples():
     assert is_ordinary(tate_module(i=1)) is True
     q = 2
@@ -542,10 +604,88 @@ def oracle_convolution_step(N, r):
     return out
 
 
+def oracle_stable_lattice(D):
+    """Every phi-invariant subspace of a cyclic phi, listed as the product
+    over D.factors of the chains ker f(phi)^k (first factor outermost, k
+    increasing), then filtered by N-stability; None when phi is not cyclic."""
+    chains = []
+    for f, mult in D.factors:
+        fm = f.of_matrix(D.phi)
+        chain = [kernel(fm.power(k)) for k in range(mult + 1)]
+        if chain[1].dim != f.degree:
+            return None
+        chains.append(chain)
+    subspaces = [Subspace.zero(D.dim)]
+    for chain in chains:
+        subspaces = [subspace_sum(s, c) for s in subspaces for c in chain]
+    return [W for W in subspaces if all(W.contains_vector(D.N.apply(r)) for r in W.basis_rows())]
+
+
+def companion(f):
+    """Companion matrix of the monic polynomial with coefficients f, lowest
+    degree first."""
+    n = len(f) - 1
+    return [[int(i == j + 1) for j in range(n - 1)] + [-f[i]] for i in range(n)]
+
+
+def tower_module(rng, towers, p=2):
+    """For each (f, length): phi = diag(C, C/q, ..., C/q^(length-1)) with C the
+    companion matrix of f, and N the identity from each block to the next,
+    so that N phi = q phi N.  All towers sit behind one seeded change of
+    basis; Fil is trivial."""
+    blocks, links = [], []
+    for f, length in towers:
+        for k in range(length):
+            if k:
+                links.append((len(blocks) - 1, len(blocks)))
+            blocks.append([[Fraction(x, p ** k) for x in row] for row in companion(f)])
+    offsets = [0]
+    for b in blocks:
+        offsets.append(offsets[-1] + len(b))
+    n = offsets[-1]
+    phi = [[Fraction(0)] * n for _ in range(n)]
+    nil = [[Fraction(0)] * n for _ in range(n)]
+    for o, b in zip(offsets, blocks):
+        for i, row in enumerate(b):
+            phi[o + i][o:o + len(row)] = row
+    for s, t in links:
+        for i in range(len(blocks[s])):
+            nil[offsets[t] + i][offsets[s] + i] = Fraction(1)
+    g = random_invertible(rng, n)
+    return PhiNModule(p, 1, n, conjugate(g, qm(phi)), conjugate(g, qm(nil)),
+                      IndexedFiltration.make(n, DECREASING, {0: Subspace.full(n)}))
+
+
+QUADRATIC = (2, 1, 1)           # x^2 + x + 2, irreducible over Q
+SQUARE = (9, -6, 1)             # (x - 3)^2
+QUARTIC = (1, 0, 2, 0, 1)       # (x^2 + 1)^2
+
+
+def test_stable_lattice_matches_oracle():
+    for D in benchmark_modules(seeds=(1, 2, 3)):
+        assert _stable_lattice(D) == oracle_stable_lattice(D)
+    rng = random.Random(46)
+    sizes = []
+    for towers in ([(QUADRATIC, 2)], [(QUADRATIC, 3), ((-5, 1), 2)],
+                   [(SQUARE, 1)], [(SQUARE, 2)], [(QUARTIC, 1)], [(QUARTIC, 2), ((-1, 1), 3)],
+                   [((-1, 1), 1), ((-2, 1), 1), ((-3, 1), 1), ((-6, 1), 1)],
+                   [((-1, 1), 2), ((-1, 1), 1)]):
+        for _ in range(2):
+            D = tower_module(rng, towers)
+            lattice = _stable_lattice(D)
+            assert lattice == oracle_stable_lattice(D)
+            sizes.append(None if lattice is None else len(lattice))
+    # a tower of length L over f^m has C(L + m, m) stable sums (levels
+    # non-decreasing along it, N an isomorphism between its blocks); N = 0
+    # leaves all 2^4 sums of the last but one case stable, and the last has
+    # two blocks for x - 1
+    assert sizes == [3, 3, 12, 12, 3, 3, 6, 6, 3, 3, 24, 24, 16, 16, None, None]
+
+
 def test_t_numbers_of_subspace_match_oracle():
     checked = set()
     for D in benchmark_modules(seeds=(41, 42)):
-        lattice = _phi_invariant_lattice(D) or []
+        lattice = _stable_lattice(D) or []
         # q = p^2 reads the same phi in other units; both routes divide by a
         D2 = dataclasses.replace(D, a=2)
         for W in lattice + _sampled_candidates(D, seed=7, budget=16):
