@@ -12,12 +12,10 @@ correspond to the nonzero proper F_p-subspaces of L / pL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import EnumerationBudgetError, PreconditionError
-from .exact_linalg import QMatrix, inverse
-from .galois import GF, enumerate_subspaces, factor_prime_power
+from .galois import GF, enumerate_subspaces, factor_prime_power, gf_span_vectors
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -104,93 +102,67 @@ class LatticeClass:
         return self.rep
 
 
-def _subspace_lifts(p: int, n: int) -> list:
-    """One square integer basis M_W of {x in Z^n : x mod p in W} per nonzero
-    proper subspace W of F_p^n: the RREF rows of W plus p e_j for each
-    non-pivot column j.  The neighbour of rowspace(B) for W is
-    rowspace(M_W B)."""
-    gf = GF(p)
-    out = []
-    for s in range(1, n):
-        for sub_rows in enumerate_subspaces(gf, n, s):
-            pivots = {r.index(1) for r in sub_rows}
-            out.append([list(r) for r in sub_rows]
-                       + [[p if i == j else 0 for i in range(n)]
-                          for j in range(n) if j not in pivots])
-    return out
+def _subspace_lifts(gf: GF, n: int) -> tuple:
+    """The nonzero proper subspaces W of F_p^n as RREF bases, by increasing
+    dimension, and for each one a square integer basis M_W of
+    {x in Z^n : x mod p in W}: the rows of W plus p e_j for each non-pivot
+    column j.  The neighbour of rowspace(B) for W is rowspace(M_W B)."""
+    p = gf.p
+    subs = [rows for s in range(1, n) for rows in enumerate_subspaces(gf, n, s)]
+    lifts = []
+    for sub_rows in subs:
+        pivots = {r.index(1) for r in sub_rows}
+        lifts.append([list(r) for r in sub_rows]
+                     + [[p if i == j else 0 for i in range(n)]
+                        for j in range(n) if j not in pivots])
+    return subs, lifts
 
 
 def _neighbors(v: LatticeClass, p: int, lifts: list) -> list:
+    """The neighbours of v in lift order: entry a comes from lifts[a]."""
     cols = list(zip(*v.rep))
-    out = [LatticeClass.from_rows([[sum(map(mul, w, c)) for c in cols] for w in m], p)
-           for m in lifts]
-    return sorted(out, key=LatticeClass.sort_key)
+    return [LatticeClass.from_rows([[sum(map(mul, w, c)) for c in cols] for w in m], p)
+            for m in lifts]
 
 
 def vertex_neighbors(v: LatticeClass, p: int, d: int) -> list:
     """All classes adjacent to v: one per nonzero proper subspace of the
     reduction of its representative mod p, in canonical form."""
-    return _neighbors(v, p, _subspace_lifts(p, d + 1))
+    return sorted(_neighbors(v, p, _subspace_lifts(GF(p), d + 1)[1]),
+                  key=LatticeClass.sort_key)
 
 
-def adjacency_subspace_dim(w: LatticeClass, v: LatticeClass, p: int):
-    """For adjacent classes, the dimension s of the subspace of the
-    reduction of w's lattice that v corresponds to (1 <= s <= d);
-    None if the classes are not adjacent."""
-    n = w.dim
-    a = QMatrix.from_rows([list(r) for r in w.rep])
-    b = QMatrix.from_rows([list(r) for r in v.rep])
-    # coordinates of v's basis in w's basis
-    coeff = []
-    ainv_rows = inverse(a)
-    for i in range(n):
-        row = b.row(i)
-        coeff.append([sum((row[k] * ainv_rows.entry(k, j) for k in range(n)),
-                          Fraction(0)) for j in range(n)])
-    # scale by the p-power making the coordinates integral and primitive
-    t = 0
-    while True:
-        scaled = [[x * p ** t for x in r] for r in coeff]
-        if all(x.denominator == 1 for r in scaled for x in r):
-            break
-        t += 1
-    ints = [[int(x) for x in r] for r in scaled]
-    while all(x % p == 0 for r in ints for x in r):
-        ints = [[x // p for x in r] for r in ints]
-    det = QMatrix.from_rows(ints).det()
-    v_det = 0
-    det = abs(int(det))
-    if det == 0:
-        return None
-    while det % p == 0:
-        det //= p
-        v_det += 1
-    if det != 1 or not (1 <= n - v_det <= n - 1):
-        return None
-    # nested reps: index p^(n - s) means subspace dimension s
-    return n - v_det
+def _flag_pairs(gf: GF, subs: list, n: int) -> list:
+    """The pairs (a, b) with subs[a] a proper subspace of subs[b] in F_p^n."""
+    spans = [set(gf_span_vectors(gf, rows, n)) for rows in subs]
+    return [(a, b) for b, span in enumerate(spans) for a, rows in enumerate(subs)
+            if len(rows) < len(subs[b]) and all(r in span for r in rows)]
 
 
 @dataclass
 class BuildingBall:
-    """Ball of given radius around a center vertex: vertices, symmetric
-    adjacency on them, and graph distances from the center."""
+    """Ball of given radius around a center vertex: vertices, graph
+    distances from the center, and the edges inside the ball.
+    edge_dim[i][j], for each neighbour j of vertex i inside the ball, is the
+    dimension s (1 <= s <= d) of the subspace of the reduction of vertex
+    i's lattice that j corresponds to; edge_dim[j][i] is d + 1 - s."""
 
     center: LatticeClass
     radius: int
     p: int
     d: int
     vertices: list
-    adjacency: set          # frozensets {i, j} of vertex indices
     distance: dict          # vertex index -> distance from center
+    edge_dim: list          # vertex index -> {neighbour index: s}
+
+    @property
+    def adjacency(self) -> set:
+        """The edges, as frozensets {i, j} of vertex indices."""
+        return {frozenset((i, j)) for i, nb in enumerate(self.edge_dim)
+                for j in nb if i < j}
 
     def neighbors_in_ball(self, i: int) -> list:
-        out = []
-        for e in self.adjacency:
-            if i in e:
-                (j,) = e - {i}
-                out.append(j)
-        return sorted(out)
+        return sorted(self.edge_dim[i])
 
 
 def ball(center: LatticeClass, n: int, p: int, d: int,
@@ -206,9 +178,10 @@ def ball(center: LatticeClass, n: int, p: int, d: int,
     if not prime:
         # the neighbour enumeration reads GF(p) element codes as integers mod p
         raise PreconditionError(f"p must be a prime, got {p}")
-    lifts = _subspace_lifts(p, d + 1)
+    gf = GF(p)
+    subs, lifts = _subspace_lifts(gf, d + 1)
     dist = {center.rep: 0}
-    nbrs = {}   # rep -> neighbours, for every vertex inside radius n
+    nbrs = {}   # rep -> neighbours in lift order, for every vertex inside radius n
     order = [center]
     frontier = [center]
     for r in range(1, n + 1):
@@ -227,15 +200,34 @@ def ball(center: LatticeClass, n: int, p: int, d: int,
     # canonical vertex order: by distance then representative
     order.sort(key=lambda v: (dist[v.rep], v.sort_key()))
     index = {v.rep: i for i, v in enumerate(order)}
-    adjacency = set()
-    for i, v in enumerate(order):
-        ws = nbrs[v.rep] if v.rep in nbrs else _neighbors(v, p, lifts)
-        for w in ws:
-            j = index.get(w.rep)
-            if j is not None and j != i:
-                adjacency.add(frozenset((i, j)))
-    return BuildingBall(center, n, p, d, order, adjacency,
-                        {index[rep]: r for rep, r in dist.items()})
+    # Every edge with an end inside radius n is in that end's neighbour list.
+    # Two adjacent radius-n vertices x, y have a common neighbour u at radius
+    # n - 1, so the edge joins the neighbours of u for two nested subspaces:
+    # the link of u is the flag complex of F_p^(d+1).  Why u exists: the
+    # centre o and the edge lie in one apartment, whose vertices are integer
+    # vectors mod (1, ..., 1), with o = 0, distance to o = max - min, and
+    # y = x + e for a 0/1 vector e.  Let A and B be the coordinates where x
+    # is least and greatest.  If e meets B, then A lies in e (else y is at
+    # n + 1) and u = x + 1_A; otherwise e misses part of A (else y is at
+    # n - 1) and u = x - 1_B.
+    dims = [len(rows) for rows in subs]
+    flags = _flag_pairs(gf, subs, d + 1)
+    edge_dim = [{} for _ in order]
+
+    def join(i, j, s):
+        edge_dim[i][j] = s
+        edge_dim[j][i] = d + 1 - s
+
+    for rep, ws in nbrs.items():
+        i = index[rep]
+        ids = [index[w.rep] for w in ws]
+        for j, s in zip(ids, dims):
+            join(i, j, s)
+        if dist[rep] == n - 1:
+            for a, b in flags:
+                join(ids[a], ids[b], dims[b] - dims[a])
+    return BuildingBall(center, n, p, d, order,
+                        {index[rep]: r for rep, r in dist.items()}, edge_dim)
 
 
 def v_n_m(b: BuildingBall, n: int, m: int) -> list:
@@ -247,15 +239,9 @@ def v_n_m(b: BuildingBall, n: int, m: int) -> list:
     if b.radius < n + 1:
         raise PreconditionError("ball radius must be at least n + 1")
     chosen = [v for i, v in enumerate(b.vertices) if b.distance[i] <= n]
-    for i, v in enumerate(b.vertices):
-        if b.distance[i] != n + 1:
-            continue
-        for j in b.neighbors_in_ball(i):
-            if b.distance[j] <= n:
-                s = adjacency_subspace_dim(b.vertices[j], v, b.p)
-                if s is not None and s <= m:
-                    chosen.append(v)
-                    break
+    chosen += [v for i, v in enumerate(b.vertices) if b.distance[i] == n + 1
+               and any(b.distance[j] <= n and b.edge_dim[j][i] <= m
+                       for j in b.edge_dim[i])]
     return sorted(chosen, key=LatticeClass.sort_key)
 
 

@@ -1,14 +1,15 @@
 import random
 from itertools import combinations
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from weightfil import drinfeld
 from weightfil.errors import EnumerationBudgetError, PreconditionError
-from weightfil.drinfeld import (LatticeClass, SimplexType, adjacency_subspace_dim,
-                                ball, gaussian_binomial, hnf, simplices_through_vertex,
-                                stratum_type, v_n_m, vertex_neighbors)
+from weightfil.drinfeld import (LatticeClass, SimplexType, ball, gaussian_binomial, hnf,
+                                simplices_through_vertex, stratum_type, v_n_m,
+                                vertex_neighbors)
 from weightfil.exact_linalg import QMatrix, inverse
 from weightfil.galois import GF, enumerate_subspaces
 
@@ -45,6 +46,71 @@ def _vertex_neighbors_oracle(v, p, d):
             lc = LatticeClass(hnf(mat), p)
             out[lc.rep] = lc
     return sorted(out.values(), key=LatticeClass.sort_key)
+
+
+def oracle_ball_adjacency(center, n, p, d):
+    """The ball by full neighbour enumeration: a BFS to radius n, then every
+    neighbour of every vertex, kept when it lies inside the ball.  Returns
+    (vertices, distance, adjacency) as `ball` does."""
+    dist = {center.rep: 0}
+    found = [center]
+    frontier = [center]
+    for r in range(1, n + 1):
+        nxt = []
+        for v in frontier:
+            for w in vertex_neighbors(v, p, d):
+                if w.rep not in dist:
+                    dist[w.rep] = r
+                    found.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    found.sort(key=lambda v: (dist[v.rep], v.sort_key()))
+    index = {v.rep: i for i, v in enumerate(found)}
+    adjacency = set()
+    for i, v in enumerate(found):
+        for w in vertex_neighbors(v, p, d):
+            j = index.get(w.rep)
+            if j is not None:
+                adjacency.add(frozenset((i, j)))
+    return found, {index[rep]: r for rep, r in dist.items()}, adjacency
+
+
+def oracle_adjacency_subspace_dim(w, v, p):
+    """For adjacent classes, the dimension s of the subspace of the
+    reduction of w's lattice that v corresponds to (1 <= s <= d);
+    None if the classes are not adjacent."""
+    n = w.dim
+    a = QMatrix.from_rows([list(r) for r in w.rep])
+    b = QMatrix.from_rows([list(r) for r in v.rep])
+    # coordinates of v's basis in w's basis
+    coeff = []
+    ainv_rows = inverse(a)
+    for i in range(n):
+        row = b.row(i)
+        coeff.append([sum((row[k] * ainv_rows.entry(k, j) for k in range(n)),
+                          Fraction(0)) for j in range(n)])
+    # scale by the p-power making the coordinates integral and primitive
+    t = 0
+    while True:
+        scaled = [[x * p ** t for x in r] for r in coeff]
+        if all(x.denominator == 1 for r in scaled for x in r):
+            break
+        t += 1
+    ints = [[int(x) for x in r] for r in scaled]
+    while all(x % p == 0 for r in ints for x in r):
+        ints = [[x // p for x in r] for r in ints]
+    det = QMatrix.from_rows(ints).det()
+    v_det = 0
+    det = abs(int(det))
+    if det == 0:
+        return None
+    while det % p == 0:
+        det //= p
+        v_det += 1
+    if det != 1 or not (1 <= n - v_det <= n - 1):
+        return None
+    # nested reps: index p^(n - s) means subspace dimension s
+    return n - v_det
 
 
 def test_gaussian_binomial_values():
@@ -176,9 +242,64 @@ def test_adjacency_subspace_dims():
     v0 = LatticeClass.base(2, 2)
     counts = {}
     for w in vertex_neighbors(v0, 2, 2):
-        s = adjacency_subspace_dim(v0, w, 2)
+        s = oracle_adjacency_subspace_dim(v0, w, 2)
         counts[s] = counts.get(s, 0) + 1
     assert counts == {1: 7, 2: 7}  # points and lines of the residue plane
+
+
+BALL_CASES = ([(1, p, n) for p in (2, 3, 5) for n in range(5)]
+              + [(2, p, n) for p in (2, 3) for n in range(4)]
+              + [(3, 2, n) for n in range(3)])
+
+
+@pytest.mark.parametrize("d,p,n", BALL_CASES)
+def test_ball_matches_oracle_adjacency(d, p, n):
+    b = ball(LatticeClass.base(d, p), n, p, d)
+    vertices, distance, adjacency = oracle_ball_adjacency(LatticeClass.base(d, p), n, p, d)
+    assert b.vertices == vertices
+    assert b.distance == distance
+    assert b.adjacency == adjacency
+    nbrs = {i: [] for i in range(len(vertices))}
+    for i, j in map(tuple, adjacency):
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    assert all(b.neighbors_in_ball(i) == sorted(js) for i, js in nbrs.items())
+
+
+def test_ball_computes_neighbours_inside_radius_only(monkeypatch):
+    # 66 vertices inside radius 2, 65 lifts each; the full-neighbour pass
+    # makes 124,540 hnf calls
+    calls = []
+    real = drinfeld.hnf
+
+    def counted(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(drinfeld, "hnf", counted)
+    b = ball(LatticeClass.base(3, 2), 2, 2, 3)
+    assert len(b.vertices) == 1916
+    assert len(calls) <= 66 * 65
+
+
+@pytest.mark.parametrize("d,p,n", [(1, 2, 2), (2, 2, 2), (3, 2, 1)])
+def test_ball_edge_dims_match_oracle(d, p, n):
+    b = ball(LatticeClass.base(d, p), n, p, d)
+    checked = 0
+    for i, nb in enumerate(b.edge_dim):
+        for j, s in nb.items():
+            assert s == oracle_adjacency_subspace_dim(b.vertices[i], b.vertices[j], p)
+            assert b.edge_dim[j][i] == d + 1 - s
+            checked += 1
+    assert checked == 2 * len(b.adjacency)
+    # V_n^m read off the stored dimensions, against the recomputed ones
+    for r in range(n):
+        for m in range(1, d + 1):
+            want = [v for i, v in enumerate(b.vertices) if b.distance[i] <= r]
+            want += [v for i, v in enumerate(b.vertices) if b.distance[i] == r + 1
+                     and any(b.distance[j] <= r and oracle_adjacency_subspace_dim(
+                         b.vertices[j], v, p) <= m for j in b.neighbors_in_ball(i))]
+            assert v_n_m(b, r, m) == sorted(want, key=LatticeClass.sort_key)
 
 
 def test_v_n_m_top_is_next_ball():
