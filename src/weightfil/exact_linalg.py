@@ -3,16 +3,20 @@
 Matrices and subspaces over Q with arbitrary-precision Fraction entries;
 no floating point anywhere.  Subspaces are kept in reduced row-echelon
 form so that equality of subspaces is equality of representations.
+Characteristic polynomials are factored over Q here too, in pure Python.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
+from .galois import _poly_gcd, _poly_mul_mod, _poly_pow_p
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -580,23 +584,268 @@ def newton_polygon(poly: Polynomial, p: int, a: int = 1) -> NewtonPolygon:
     return np_
 
 
+# ---------------------------------------------------------------------------
+# factoring over Q (von zur Gathen & Gerhard, Modern Computer Algebra,
+# ch. 14-16): primitive part, Yun's squarefree decomposition, factors mod a
+# prime p by distinct-degree and Cantor-Zassenhaus splitting, Hensel lifting
+# to a Mignotte bound and Zassenhaus recombination.  Polynomials here are
+# lists of ints, lowest degree first, without trailing zeros.
+
+def _ptrim(f: list) -> list:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _padd(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _ptrim([x + y for x, y in zip(a, b)] + a[len(b):])
+
+
+def _psub(a: list, b: list) -> list:
+    return _padd(a, [-y for y in b])
+
+
+def _pmul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _pmod(f: list, m: int) -> list:
+    return _ptrim([x % m for x in f])
+
+
+def _pderiv(f: list) -> list:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _pprimitive(f: list) -> list:
+    """f over its content, with a positive leading coefficient; [] for 0."""
+    f = _primitive(f)
+    return f if not f or f[-1] > 0 else [-x for x in f]
+
+
+def _pquotient(a: list, b: list):
+    """a / b when b divides a in Z[x], else None."""
+    if a and (a[-1] % b[-1] or (b[0] and a[0] % b[0])):
+        return None
+    a, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in reversed(range(len(q))):
+        c, r = divmod(a[k + db], b[-1])
+        if r:
+            return None
+        q[k] = c
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return None if any(a[:db]) else q
+
+
+def _pgcd(a: list, b: list) -> list:
+    """Primitive gcd in Z[x], by the primitive remainder sequence."""
+    a, b = _pprimitive(a), _pprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        # a remainder of a by b, scaled by a power of lc(b)
+        r, lb = list(a), b[-1]
+        while len(r) >= len(b):
+            c, sh = r[-1], len(r) - len(b)
+            r = [x * lb for x in r]
+            for i, y in enumerate(b):
+                r[sh + i] -= c * y
+            _ptrim(r)
+        a, b = b, _pprimitive(r)
+    return a
+
+
+def _squarefree_parts(f: list) -> list:
+    """Yun: [(a_i, i)] with the primitive f = prod a_i^i, each a_i primitive,
+    squarefree and of positive degree, the a_i pairwise coprime.  Every
+    quotient is exact in Z[x] by Gauss's lemma, and rescaling a gcd rescales
+    b, c and d alike, so d = c - b' keeps holding."""
+    df = _pderiv(f)
+    a = _pgcd(f, df)
+    b, c = _pquotient(f, a), _pquotient(df, a)
+    d, out, i = _psub(c, _pderiv(b)), [], 1
+    while len(b) > 1:
+        a = _pgcd(b, d)
+        b, c = _pquotient(b, a), _pquotient(d, a)
+        d = _psub(c, _pderiv(b))
+        if len(a) > 1:
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def _pdivmod(a: list, b: list, m: int) -> tuple:
+    """Quotient and remainder mod m of a by the monic b."""
+    a, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = a[k + db] % m
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return q, _pmod(a[:db], m)
+
+
+def _pmonic(f: list, m: int) -> list:
+    inv = pow(f[-1], -1, m)
+    return [x * inv % m for x in f]
+
+
+def _good_prime(f: list) -> int:
+    """The least odd prime dividing neither lc(f) nor the discriminant of the
+    squarefree f, i.e. modulo which f keeps its degree and stays squarefree."""
+    df, p = _pderiv(f), 1
+    while True:
+        p += 2
+        if any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)) or f[-1] % p == 0:
+            continue
+        if len(_poly_gcd(_pmod(f, p), _pmod(df, p), p)) == 1:
+            return p
+
+
+def _split_equal_degree(g: list, r: int, p: int, rng: random.Random) -> list:
+    """Cantor-Zassenhaus: the monic irreducible factors of the monic
+    squarefree g over F_p, all of which have degree r."""
+    n = len(g) - 1
+    if n == r:
+        return [g]
+    e = (p ** r - 1) // 2
+    while True:
+        a = _ptrim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        power, acc = a, [1]
+        for bit in bin(e)[:1:-1]:
+            if bit == "1":
+                acc = _poly_mul_mod(acc, power, g, p)
+            power = _poly_mul_mod(power, power, g, p)
+        d = _poly_gcd(g, _pmod(_psub(acc, [1]), p), p)
+        if 1 < len(d) <= n:
+            d = _pmonic(d, p)
+            return (_split_equal_degree(d, r, p, rng)
+                    + _split_equal_degree(_pdivmod(g, d, p)[0], r, p, rng))
+
+
+def _factor_mod_p(f: list, p: int, rng: random.Random) -> list:
+    """The monic irreducible factors of the monic squarefree f over F_p:
+    distinct-degree factorisation, then equal-degree splitting."""
+    out, rest, h, r = [], f, [0, 1], 0
+    while len(rest) - 1 >= 2 * (r + 1):
+        r += 1
+        h = _ptrim(_poly_pow_p(h, rest, p))  # x^(p^r) mod rest
+        g = _poly_gcd(rest, _pmod(_psub(h, [0, 1]), p), p)
+        if len(g) > 1:
+            g = _pmonic(g, p)
+            out += _split_equal_degree(g, r, p, rng)
+            rest = _pdivmod(rest, g, p)[0]
+            h = _pdivmod(h, rest, p)[1]
+    return out + [rest] if len(rest) > 1 else out
+
+
+def _inverse_pair(g: list, h: list, p: int) -> tuple:
+    """(s, t) with s g + t h = 1 over F_p for coprime g and h of positive
+    degree, deg s < deg h and deg t < deg g."""
+    r0, s0, t0, r1, s1, t1 = g, [1], [], h, [], [1]
+    while True:
+        inv = pow(r1[-1], -1, p)
+        r1, s1, t1 = ([x * inv % p for x in u] for u in (r1, s1, t1))
+        if len(r1) == 1:
+            return s1, t1
+        q, r = _pdivmod(r0, r1, p)
+        r0, s0, t0, r1, s1, t1 = (r1, s1, t1, r, _pmod(_psub(s0, _pmul(q, s1)), p),
+                                  _pmod(_psub(t0, _pmul(q, t1)), p))
+
+
+def _hensel_lift(f: list, factors: list, p: int, steps: int) -> list:
+    """The monic factors of the monic f mod p^(2^steps) that reduce to
+    `factors`, the monic factors of f mod p: a factor tree of quadratic
+    Hensel steps (von zur Gathen & Gerhard, Algorithm 15.10)."""
+    if len(factors) == 1:
+        return [f]
+    half = len(factors) // 2
+    g, h = [1], [1]
+    for u in factors[:half]:
+        g = _pmod(_pmul(g, u), p)
+    for u in factors[half:]:
+        h = _pmod(_pmul(h, u), p)
+    s, t = _inverse_pair(g, h, p)
+    m = p
+    for step in range(steps):
+        m *= m
+        e = _pmod(_psub(f, _pmul(g, h)), m)
+        q, r = _pdivmod(_pmul(s, e), h, m)
+        g = _pmod(_padd(g, _padd(_pmul(t, e), _pmul(q, g))), m)
+        h = _pmod(_padd(h, r), m)
+        if step + 1 < steps:
+            b = _pmod(_psub(_padd(_pmul(s, g), _pmul(t, h)), [1]), m)
+            c, d = _pdivmod(_pmul(s, b), h, m)
+            s = _pmod(_psub(s, d), m)
+            t = _pmod(_psub(t, _padd(_pmul(t, b), _pmul(c, g))), m)
+    return (_hensel_lift(g, factors[:half], p, steps)
+            + _hensel_lift(h, factors[half:], p, steps))
+
+
+def _factor_squarefree(f: list, rng: random.Random) -> list:
+    """The irreducible factors in Z[x] of the primitive squarefree f."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    p = _good_prime(f)
+    modular = _factor_mod_p(_pmonic(f, p), p, rng)
+    if len(modular) == 1:
+        return [f]
+    # a factor of f, scaled to leading coefficient lc(f), has coefficients
+    # below lc(f) 2^n |f|_2 (Mignotte); the lift must hold twice that
+    bound = 2 * abs(f[-1]) * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    m, steps = p, 0
+    while m <= bound:
+        m, steps = m * m, steps + 1
+    lifts = _hensel_lift(_pmonic(f, m), modular, p, steps)
+    # Zassenhaus: try products of s lifted factors, s increasing
+    out, s = [], 1
+    while 2 * s <= len(lifts):
+        for subset in combinations(range(len(lifts)), s):
+            cand = [f[-1]]
+            for i in subset:
+                cand = _pmod(_pmul(cand, lifts[i]), m)
+            cand = _pprimitive([x - m if 2 * x > m else x for x in cand])
+            q = _pquotient(f, cand)
+            if q is not None:
+                out.append(cand)
+                f = q
+                lifts = [u for i, u in enumerate(lifts) if i not in subset]
+                break
+        else:
+            s += 1
+    return out + [f] if len(f) > 1 else out
+
+
 def factor_rational_poly(poly: Polynomial) -> list:
     """Factor a rational polynomial into irreducibles over Q.
 
-    Returns [(Polynomial, multiplicity)], monic factors.  Uses sympy, the
-    one external dependency; everything is converted back to Fractions.
+    Returns [(Polynomial, multiplicity)], monic factors sorted by (degree,
+    coefficients); [] for a constant.  Deterministic: the random splitting
+    mod p draws from its own fixed-seed generator.
     """
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(poly.coeffs))
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    out = []
-    for f, mult in factors:
-        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
-        lead = cs[-1]
-        cs = [c / lead for c in cs]
-        out.append((Polynomial.from_coeffs(cs), int(mult)))
+    if poly.degree < 1:
+        return []
+    den = _lcm({c.denominator for c in poly.coeffs})
+    f = _pprimitive([c.numerator * (den // c.denominator) for c in poly.coeffs])
+    rng = random.Random(0)
+    out = [(Polynomial.from_coeffs([Fraction(c, g[-1]) for c in g]), mult)
+           for part, mult in _squarefree_parts(f)
+           for g in _factor_squarefree(part, rng)]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out

@@ -22,9 +22,11 @@ already has (`rep`) instead of deciding admissibility again.
 
 A PhiNModule keeps what several checks of one module share as cached
 properties: its validation, the N chain, the char poly of phi, its rational
-factors and the slope filtration.  Each is computed on its first read; a
-read that raises caches nothing.  A module must not be mutated after
-construction; `dataclasses.replace` gives a new module with nothing cached.
+factors, the kernel chain ker f(phi)^k of each factor f (read by both
+`_stable_lattice` and the slope filtration) and the slope filtration.  Each
+is computed on its first read; a read that raises caches nothing.  A module
+must not be mutated after construction; `dataclasses.replace` gives a new
+module with nothing cached.
 """
 
 from __future__ import annotations
@@ -75,6 +77,17 @@ def _n_chain(N: QMatrix) -> NChain:
             break
         power = power @ N
     return NChain(tuple(kers), tuple(ims))
+
+
+def _kernel_chain(M: QMatrix, top: int) -> tuple:
+    """ker M^k for k = 0, 1, ... up to the first of dimension `top`, where
+    the chain stops growing; one product per power."""
+    kers, power = [Subspace.zero(M.rows)], M
+    while True:
+        kers.append(kernel(power))
+        if kers[-1].dim == top:
+            return tuple(kers)
+        power = power @ M
 
 
 @dataclass(frozen=True)
@@ -142,11 +155,19 @@ class PhiNModule:
         return factor_rational_poly(self.char_poly)
 
     @cached_property
+    def factor_chains(self) -> tuple:
+        """Per factor f of multiplicity m in `factors`: ker f(phi)^k from k = 0
+        up to the generalised eigenspace, of dimension m deg f."""
+        return tuple(_kernel_chain(f.of_matrix(self.phi), f.degree * mult)
+                     for f, mult in self.factors)
+
+    @cached_property
     def slope_fil(self) -> IndexedFiltration:
         """Increasing filtration by slope of phi: the partial sums of its
         slope decomposition; graded dims equal newton_numbers."""
         steps, acc = {}, Subspace.zero(self.dim)
-        for s, block in slope_decomposition(self.phi, self.p, self.a, factors=self.factors):
+        for s, block in slope_decomposition(self.phi, self.p, self.a, factors=self.factors,
+                                            chains=self.factor_chains):
             acc = subspace_sum(acc, block)
             steps[s] = acc
         return IndexedFiltration.make(self.dim, INCREASING, steps)
@@ -230,26 +251,29 @@ def t_numbers(D: PhiNModule) -> tuple:
 # ---------------------------------------------------------------------------
 # slope decomposition of phi
 
-def slope_decomposition(phi: QMatrix, p: int, a: int, factors=None) -> list:
+def slope_decomposition(phi: QMatrix, p: int, a: int, factors=None, chains=None) -> list:
     """[(slope, phi-stable generalized eigenspace sum)] sorted by slope.
 
     char(phi) is factored into rational irreducibles (`factors`, when the
     caller has them); each factor must have a pure Newton polygon,
     otherwise the valuations of its roots cannot be separated over Q and
-    SlopeDecompositionError is raised.
+    SlopeDecompositionError is raised.  `chains`, when the caller has them,
+    are the factors' kernel chains (`PhiNModule.factor_chains`), whose last
+    levels are the generalised eigenspaces.
     """
     n = phi.rows
     if factors is None:
         factors = factor_rational_poly(char_poly(phi))
     by_slope = {}
-    for f, mult in factors:
+    for j, (f, mult) in enumerate(factors):
         np_ = newton_polygon(f, p, a)
         if len(np_.segments) != 1:
             raise SlopeDecompositionError(
                 f"irreducible factor {f.to_strings()} has mixed root valuations "
                 f"{[str(s) for s, _ in np_.segments]}")
         slope = np_.segments[0][0]
-        block = kernel(f.of_matrix(phi).power(mult))
+        chain = chains[j] if chains else _kernel_chain(f.of_matrix(phi), f.degree * mult)
+        block = chain[-1]
         assert block.dim == f.degree * mult
         by_slope[slope] = subspace_sum(by_slope[slope], block) \
             if slope in by_slope else block
@@ -322,17 +346,15 @@ def _t_numbers_of_subspace(D: PhiNModule, W: Subspace) -> tuple:
 def _stable_lattice(D: PhiNModule):
     """All (phi,N)-stable subspaces when phi is cyclic (min poly = char poly),
     in the order of the product over D.factors of the chains ker f(phi)^k
-    (first factor outermost, k increasing); None when phi is not cyclic or
-    more than INVARIANT_SUBSPACE_GUARD are stable.  A sum of one ker f(phi)^k
-    per factor is N-stable iff the level of f_q is at least need[f][k], the
-    least level of the chain of f_q holding N ker f(phi)^k.  The edges
-    f -> f_q form disjoint paths, as v_q drops by 1 along each."""
-    chains = []
-    for f, _ in D.factors:
-        chain = _n_chain(f.of_matrix(D.phi)).kers
-        if chain[1].dim != f.degree:
-            return None  # more than one block for this factor: not cyclic
-        chains.append(chain)
+    (D.factor_chains: first factor outermost, k increasing); None when phi
+    is not cyclic or more than INVARIANT_SUBSPACE_GUARD are stable.  A sum
+    of one ker f(phi)^k per factor is N-stable iff the level of f_q is at
+    least need[f][k], the least level of the chain of f_q holding
+    N ker f(phi)^k.  The edges f -> f_q form disjoint paths, as v_q drops by
+    1 along each."""
+    chains = D.factor_chains
+    if any(chain[1].dim != f.degree for chain, (f, _) in zip(chains, D.factors)):
+        return None  # more than one block for some factor: not cyclic
     index = {f: j for j, (f, _) in enumerate(D.factors)}
     succ, need = {}, {}
     for j, (f, _) in enumerate(D.factors):

@@ -90,6 +90,21 @@ def test_phin_analyze_tate_curve(tmp_path):
     assert "clauses" in rep
 
 
+def test_phin_reports_never_import_sympy(tmp_path):
+    # factoring char(phi) is done in the package; sympy is a test oracle only
+    tate = write(tmp_path, "tate.json", TATE_CURVE)
+    d2 = write(tmp_path, "d2.json", NETCOH_D2)
+    code = ("import sys\n"
+            "from weightfil.cli import main\n"
+            "rcs = [main(['phin-analyze', sys.argv[1]]), main(['phin-check-mw', sys.argv[1]]),\n"
+            "       main(['phin-netcoh', sys.argv[2]])]\n"
+            "sys.stderr.write(repr((rcs, sorted(m for m in sys.modules\n"
+            "                                   if m.split('.')[0] == 'sympy'))))\n")
+    res = subprocess.run([sys.executable, "-c", code, str(tate), str(d2)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == "([0, 0, 0], [])", res.stderr
+
+
 def test_phin_netcoh(tmp_path):
     p = write(tmp_path, "d2.json", NETCOH_D2)
     res = run_cli(["phin-netcoh"], path=p)

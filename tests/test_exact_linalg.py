@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from weightfil.errors import PreconditionError
-from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, _rref, char_poly,
-                                    extend_basis, image, kernel, newton_polygon, rank,
-                                    rat, rat_str, subspace_intersect, subspace_sum)
+from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, _factor_mod_p, _good_prime,
+                                    _rref, char_poly, extend_basis, factor_rational_poly,
+                                    image, kernel, newton_polygon, rank, rat, rat_str,
+                                    subspace_intersect, subspace_sum)
 
 from conftest import qm, sub
 
@@ -347,3 +350,113 @@ def test_power_takes_k_minus_one_products(monkeypatch):
         assert len(calls) == max(k - 1, 0)
     with pytest.raises(ValueError):
         m.power(-1)
+
+
+# Factoring over Q.  The oracle is the sympy route that the in-package
+# factoriser replaced; sympy is a test dependency only.
+
+def oracle_factor_rational_poly(poly):
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+               for i, c in enumerate(poly.coeffs))
+    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    out = []
+    for f, mult in factors:
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+        lead = cs[-1]
+        cs = [c / lead for c in cs]
+        out.append((Polynomial.from_coeffs(cs), int(mult)))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
+
+
+def sympy_poly(expr) -> Polynomial:
+    coeffs = sympy.Poly(expr, sympy.Symbol("x")).all_coeffs()
+    return Polynomial.from_coeffs([Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)])
+
+
+def power(f: Polynomial, k: int) -> Polynomial:
+    out = Polynomial.from_coeffs([1])
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+random_factors = st.integers(1, 12).flatmap(
+    lambda deg: st.lists(rationals, min_size=deg, max_size=deg).flatmap(
+        lambda tail: st.builds(lambda lead: tail + [lead], rationals.filter(bool))))
+binomials = st.builds(lambda k, c: [c] + [0] * (k - 1) + [1],
+                      st.integers(1, 12), st.sampled_from([1, -1, 2, -3]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.one_of(random_factors, binomials), st.integers(1, 3)),
+                min_size=1, max_size=4),
+       rationals.filter(bool))
+def test_factor_matches_sympy_on_products(factors, scale):
+    assume(sum((len(f) - 1) * mult for f, mult in factors) <= 36)
+    poly = Polynomial.from_coeffs([scale])
+    for f, mult in factors:
+        poly = poly * power(Polynomial.from_coeffs(f), mult)
+    assert factor_rational_poly(poly) == oracle_factor_rational_poly(poly)
+
+
+X = sympy.Symbol("x")
+LC_15015 = 15015 * X ** 3 + X + 1          # 3, 5, 7, 11 and 13 divide the lead
+ROOTS_1_TO_13 = sympy.prod([X - i for i in range(1, 14)])  # p | disc for p < 13
+HARD = [
+    X ** 4 - 10 * X ** 2 + 1,              # irreducible, splits mod every prime
+    sympy.minimal_polynomial(sympy.sqrt(2) + sympy.sqrt(3) + sympy.sqrt(5), X),
+    2 * X ** 7 + 15 * X ** 4 - 10 * X + 5,  # Eisenstein at 5
+    (X ** 2 + 1) ** 3,
+    (X - 3) ** 30,
+    sympy.Integer(7),
+    LC_15015,
+    (15015 * X ** 2 - 1) * (X + 2) ** 2,
+    ROOTS_1_TO_13,
+    sympy.prod([sympy.cyclotomic_poly(n, X) for n in range(1, 13)]),
+] + [sympy.cyclotomic_poly(n, X) for n in range(1, 31)]
+
+
+@pytest.mark.parametrize("expr", HARD, ids=str)
+def test_factor_matches_sympy_on_hard_cases(expr):
+    poly = sympy_poly(expr)
+    assert factor_rational_poly(poly) == oracle_factor_rational_poly(poly)
+
+
+def test_factor_fixed_answers():
+    assert factor_rational_poly(Polynomial.from_coeffs([Fraction(7, 2)])) == []
+    assert factor_rational_poly(Polynomial(())) == []
+    assert factor_rational_poly(sympy_poly((X - 3) ** 30)) == \
+        [(Polynomial.from_coeffs([-3, 1]), 30)]
+    assert factor_rational_poly(sympy_poly(3 * (X ** 2 + 1) ** 3)) == \
+        [(Polynomial.from_coeffs([1, 0, 1]), 3)]
+    for n in range(1, 31):
+        phi_n = sympy_poly(sympy.cyclotomic_poly(n, X))
+        assert factor_rational_poly(phi_n) == [(phi_n, 1)]
+
+
+def test_irreducible_polynomials_with_many_modular_factors():
+    # both are irreducible over Q but split mod every prime into factors of
+    # degree <= 2, so only recombination can find that
+    rng = random.Random(0)
+    for expr, least in ((X ** 4 - 10 * X ** 2 + 1, 2),
+                        (sympy.minimal_polynomial(sympy.sqrt(2) + sympy.sqrt(3)
+                                                  + sympy.sqrt(5), X), 4)):
+        poly = sympy_poly(expr)
+        f = [int(c) for c in poly.coeffs]
+        p = _good_prime(f)
+        assert len(_factor_mod_p(f, p, rng)) >= least
+        assert factor_rational_poly(poly) == [(poly, 1)]
+
+
+def test_prime_search_skips_lead_and_discriminant_primes():
+    # 3, 5, 7, 11 and 13 divide the leading coefficient
+    assert _good_prime([int(c) for c in sympy_poly(LC_15015).coeffs]) == 17
+    # roots 1..13 collide mod every prime below 13
+    assert _good_prime([int(c) for c in sympy_poly(ROOTS_1_TO_13).coeffs]) == 13
+    # (x - 1)(x - 4) has a double root mod 3, (x - 1)(x - 4)(x - 6) mod 3 and 5
+    assert _good_prime([1, 0, 1]) == 3
+    assert _good_prime([4, -5, 1]) == 5
+    assert _good_prime([-24, 34, -11, 1]) == 7

@@ -748,6 +748,22 @@ def test_module_caches_chain_factors_and_slopes_once(monkeypatch):
             calls.clear()
 
 
+def test_admissibility_and_slopes_eliminate_each_matrix_once(monkeypatch):
+    # the chains ker f(phi)^k are built once per factor, kernels only, and
+    # read by both the certified route and the slope filtration
+    eliminated = counting(monkeypatch, "kernel")
+    routes = set()
+    for D in benchmark_modules(seeds=(1, 45)):
+        eliminated.clear()
+        routes.add(is_weakly_admissible(D, seed=1, budget=8).method)
+        try:
+            D.slope_fil
+        except SlopeDecompositionError:
+            pass
+        assert len(eliminated) == len(set(eliminated))
+    assert routes == {"global", "cyclic-phi", "sampled"}
+
+
 def test_failed_slope_decomposition_is_not_cached(monkeypatch):
     # x^2 + x + 2 is irreducible over Q with 2-adic root valuations 0 and 1
     D = mk_module(2, 1, 1, [[0, -2], [1, -1]], [[0, 0], [0, 0]], {0: "full"})
