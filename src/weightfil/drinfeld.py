@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import EnumerationBudgetError, PreconditionError
-from .galois import GF, enumerate_subspaces, factor_prime_power, gf_span_vectors
+from .galois import GF, enumerate_subspaces, factor_prime_power, gf_span_vectors, is_prime
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -171,11 +171,7 @@ def ball(center: LatticeClass, n: int, p: int, d: int,
         raise PreconditionError(f"d must be >= 1 (the building of PGL_(d+1)), got {d}")
     if n < 0:
         raise PreconditionError("radius must be >= 0")
-    try:
-        prime = factor_prime_power(p)[1] == 1
-    except PreconditionError:
-        prime = False
-    if not prime:
+    if not is_prime(p):
         # the neighbour enumeration reads GF(p) element codes as integers mod p
         raise PreconditionError(f"p must be a prime, got {p}")
     gf = GF(p)

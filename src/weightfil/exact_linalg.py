@@ -11,12 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .galois import _poly_gcd, _poly_mul_mod, _poly_pow_p
+from .galois import (_padd, _pdivmod, _pmod, _pmonic, _pmul, _poly_gcd, _psub, _ptrim,
+                     factor_mod_p, is_prime)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -495,14 +496,7 @@ class Polynomial:
         return not self.coeffs
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial.from_coeffs(out)
+        return Polynomial.from_coeffs(_pmul(self.coeffs, other.coeffs))
 
     def of_matrix(self, m: QMatrix) -> QMatrix:
         out = QMatrix.zero(m.rows, m.cols)
@@ -587,40 +581,9 @@ def newton_polygon(poly: Polynomial, p: int, a: int = 1) -> NewtonPolygon:
 # ---------------------------------------------------------------------------
 # factoring over Q (von zur Gathen & Gerhard, Modern Computer Algebra,
 # ch. 14-16): primitive part, Yun's squarefree decomposition, factors mod a
-# prime p by distinct-degree and Cantor-Zassenhaus splitting, Hensel lifting
-# to a Mignotte bound and Zassenhaus recombination.  Polynomials here are
-# lists of ints, lowest degree first, without trailing zeros.
-
-def _ptrim(f: list) -> list:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _padd(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    return _ptrim([x + y for x, y in zip(a, b)] + a[len(b):])
-
-
-def _psub(a: list, b: list) -> list:
-    return _padd(a, [-y for y in b])
-
-
-def _pmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _pmod(f: list, m: int) -> list:
-    return _ptrim([x % m for x in f])
-
+# prime p (`galois.factor_mod_p`), Hensel lifting to a Mignotte bound and
+# Zassenhaus recombination.  Polynomials here are lists of ints, lowest
+# degree first, without trailing zeros, with galois's ring helpers.
 
 def _pderiv(f: list) -> list:
     return [i * c for i, c in enumerate(f)][1:]
@@ -686,72 +649,13 @@ def _squarefree_parts(f: list) -> list:
     return out
 
 
-def _pdivmod(a: list, b: list, m: int) -> tuple:
-    """Quotient and remainder mod m of a by the monic b."""
-    a, db = list(a), len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for k in reversed(range(len(q))):
-        c = q[k] = a[k + db] % m
-        if c:
-            for i, y in enumerate(b):
-                a[k + i] -= c * y
-    return q, _pmod(a[:db], m)
-
-
-def _pmonic(f: list, m: int) -> list:
-    inv = pow(f[-1], -1, m)
-    return [x * inv % m for x in f]
-
-
 def _good_prime(f: list) -> int:
     """The least odd prime dividing neither lc(f) nor the discriminant of the
     squarefree f, i.e. modulo which f keeps its degree and stays squarefree."""
-    df, p = _pderiv(f), 1
-    while True:
-        p += 2
-        if any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)) or f[-1] % p == 0:
-            continue
-        if len(_poly_gcd(_pmod(f, p), _pmod(df, p), p)) == 1:
+    df = _pderiv(f)
+    for p in count(3, 2):
+        if is_prime(p) and f[-1] % p and len(_poly_gcd(f, df, p)) == 1:
             return p
-
-
-def _split_equal_degree(g: list, r: int, p: int, rng: random.Random) -> list:
-    """Cantor-Zassenhaus: the monic irreducible factors of the monic
-    squarefree g over F_p, all of which have degree r."""
-    n = len(g) - 1
-    if n == r:
-        return [g]
-    e = (p ** r - 1) // 2
-    while True:
-        a = _ptrim([rng.randrange(p) for _ in range(n)])
-        if len(a) < 2:
-            continue
-        power, acc = a, [1]
-        for bit in bin(e)[:1:-1]:
-            if bit == "1":
-                acc = _poly_mul_mod(acc, power, g, p)
-            power = _poly_mul_mod(power, power, g, p)
-        d = _poly_gcd(g, _pmod(_psub(acc, [1]), p), p)
-        if 1 < len(d) <= n:
-            d = _pmonic(d, p)
-            return (_split_equal_degree(d, r, p, rng)
-                    + _split_equal_degree(_pdivmod(g, d, p)[0], r, p, rng))
-
-
-def _factor_mod_p(f: list, p: int, rng: random.Random) -> list:
-    """The monic irreducible factors of the monic squarefree f over F_p:
-    distinct-degree factorisation, then equal-degree splitting."""
-    out, rest, h, r = [], f, [0, 1], 0
-    while len(rest) - 1 >= 2 * (r + 1):
-        r += 1
-        h = _ptrim(_poly_pow_p(h, rest, p))  # x^(p^r) mod rest
-        g = _poly_gcd(rest, _pmod(_psub(h, [0, 1]), p), p)
-        if len(g) > 1:
-            g = _pmonic(g, p)
-            out += _split_equal_degree(g, r, p, rng)
-            rest = _pdivmod(rest, g, p)[0]
-            h = _pdivmod(h, rest, p)[1]
-    return out + [rest] if len(rest) > 1 else out
 
 
 def _inverse_pair(g: list, h: list, p: int) -> tuple:
@@ -803,7 +707,7 @@ def _factor_squarefree(f: list, rng: random.Random) -> list:
     if n == 1:
         return [f]
     p = _good_prime(f)
-    modular = _factor_mod_p(_pmonic(f, p), p, rng)
+    modular = factor_mod_p(_pmonic(f, p), p, rng)
     if len(modular) == 1:
         return [f]
     # a factor of f, scaled to leading coefficient lc(f), has coefficients

@@ -1,20 +1,38 @@
-"""Small finite fields F_q, q = p^k, with table-based arithmetic.
+"""Arithmetic over F_p: primality, F_p[x] and the small fields F_q.
 
-Elements are integers 0..q-1 encoding polynomial coefficient vectors over
-F_p in base p.  Intended for the desk-scale counting in the arrangement
-and building modules (q up to a few hundred)."""
+Polynomials are lists of ints, lowest degree first, without trailing
+zeros; the ring helpers (`_padd`, `_pmul`, ...) also serve Z[x] in the
+factoring over Q.  Over F_p the remainder, gcd and power of polynomials
+build the fields F_q = F_p[x]/(f) and the mod-p half of factoring over Q:
+distinct-degree factorisation and Cantor-Zassenhaus equal-degree
+splitting (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
+
+Elements of F_q, q = p^k, are integers 0..q-1 encoding polynomial
+coefficient vectors over F_p in base p, with table-based arithmetic.
+Intended for the desk-scale counting in the arrangement and building
+modules (q up to a few hundred)."""
 
 from __future__ import annotations
 
 from itertools import product
+from math import isqrt
 
 from .errors import PreconditionError
+
+
+def _least_divisor(n: int) -> int:
+    """The least divisor >= 2 of n >= 2, by trial division up to sqrt(n)."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_divisor(n) == n
 
 
 def factor_prime_power(q: int) -> tuple:
     if q < 2:
         raise PreconditionError("q must be >= 2")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = _least_divisor(q)
     k = 0
     m = q
     while m % p == 0:
@@ -25,69 +43,117 @@ def factor_prime_power(q: int) -> tuple:
     return p, k
 
 
-def _poly_mul_mod(a, b, mod_poly, p):
+def _ptrim(f: list) -> list:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _padd(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _ptrim([x + y for x, y in zip(a, b)] + a[len(b):])
+
+
+def _psub(a: list, b: list) -> list:
+    return _padd(a, [-y for y in b])
+
+
+def _pmul(a, b) -> list:
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    deg = len(mod_poly) - 1
-    while len(out) > deg:
-        lead = out.pop()
-        if lead:
-            for i in range(deg):
-                out[-deg + i] = (out[-deg + i] - lead * mod_poly[i]) % p
+                out[i + j] += x * y
     return out
 
 
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    def norm(u):
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-    a, b = norm(a), norm(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            f = a[-1] * inv % p
-            sh = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[sh + i] = (a[sh + i] - f * c) % p
-            a = norm(a)
-            if not a:
-                break
-        a, b = b, a
-    return norm(a)
+def _pmod(f: list, m: int) -> list:
+    return _ptrim([x % m for x in f])
 
 
-def _poly_pow_p(base, poly, p):
+def _pdivmod(a: list, b: list, m: int) -> tuple:
+    """Quotient and remainder mod m of a by the monic b."""
+    a, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = a[k + db] % m
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return q, _pmod(a[:db], m)
+
+
+def _pmonic(f: list, m: int) -> list:
+    inv = pow(f[-1], -1, m)
+    return [x * inv % m for x in f]
+
+
+def _poly_mul_mod(a: list, b: list, mod: list, p: int) -> list:
+    return _pdivmod(_pmul(a, b), mod, p)[1]
+
+
+def _poly_pow_mod(a: list, e: int, mod: list, p: int) -> list:
+    """a^e modulo the monic mod over F_p, by square and multiply."""
     acc = [1]
-    e = p
-    b = list(base)
-    while e:
-        if e & 1:
-            acc = _poly_mul_mod(acc, b, poly, p)
-        b = _poly_mul_mod(b, b, poly, p)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        acc = _poly_mul_mod(acc, acc, mod, p)
+        if bit == "1":
+            acc = _poly_mul_mod(acc, a, mod, p)
     return acc
 
 
-def _is_irreducible(poly, p):
-    """Monic poly of degree k over F_p is irreducible iff x^(p^k) = x mod
-    poly and gcd(x^(p^j) - x, poly) = 1 for every proper divisor j of k."""
-    k = len(poly) - 1
-    x = [0, 1]
-    xp = list(x)
-    for j in range(1, k + 1):
-        xp = _poly_pow_p(xp, poly, p)  # x^(p^j) mod poly
-        diff = [(a - b) % p for a, b in
-                zip(xp + [0] * len(x), x + [0] * len(xp))]
-        if j == k:
-            return all(c == 0 for c in diff)
-        if k % j == 0 and len(_poly_gcd(poly, diff, p)) > 1:
-            return False
-    return True
+def _poly_gcd(a: list, b: list, p: int) -> list:
+    """gcd(a, b) over F_p; monic unless b = 0 and a is not monic mod p."""
+    a, b = _pmod(a, p), _pmod(b, p)
+    while b:
+        b = _pmonic(b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
+    return a
+
+
+def _distinct_degree(f: list, p: int):
+    """Distinct-degree factorisation of the monic f over F_p: yields (r, g)
+    for r increasing, g the product of the monic irreducible factors of
+    degree r when f is squarefree.  For any f, the first r yielded is the
+    least degree of an irreducible factor."""
+    rest, h, r = f, [0, 1], 0
+    while len(rest) - 1 >= 2 * (r + 1):
+        r += 1
+        h = _poly_pow_mod(h, p, rest, p)  # x^(p^r) mod rest
+        g = _poly_gcd(rest, _psub(h, [0, 1]), p)
+        if len(g) > 1:
+            yield r, g
+            rest = _pdivmod(rest, g, p)[0]
+            h = _pdivmod(h, rest, p)[1]
+    if len(rest) > 1:
+        yield len(rest) - 1, rest
+
+
+def _split_equal_degree(g: list, r: int, p: int, rng) -> list:
+    """Cantor-Zassenhaus: the monic irreducible factors of the monic
+    squarefree g over F_p, p odd, all of which have degree r."""
+    n = len(g) - 1
+    if n == r:
+        return [g]
+    e = (p ** r - 1) // 2
+    while True:
+        a = _ptrim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        d = _poly_gcd(g, _psub(_poly_pow_mod(a, e, g, p), [1]), p)
+        if 1 < len(d) <= n:
+            return (_split_equal_degree(d, r, p, rng)
+                    + _split_equal_degree(_pdivmod(g, d, p)[0], r, p, rng))
+
+
+def factor_mod_p(f: list, p: int, rng) -> list:
+    """The monic irreducible factors of the monic squarefree f over F_p for
+    an odd prime p; the splitting draws from the random.Random rng."""
+    return [u for r, g in _distinct_degree(f, p)
+            for u in _split_equal_degree(g, r, p, rng)]
 
 
 def find_irreducible(p: int, k: int) -> list:
@@ -96,9 +162,7 @@ def find_irreducible(p: int, k: int) -> list:
         return [0, 1]
     for tail in product(range(p), repeat=k):
         poly = list(tail) + [1]
-        if poly[0] == 0:
-            continue
-        if _is_irreducible(poly, p):
+        if poly[0] and next(_distinct_degree(poly, p))[0] == k:
             return poly
     raise PreconditionError("no irreducible polynomial found")  # unreachable
 
@@ -133,9 +197,7 @@ class GF:
         self.mul_table = [[0] * q for _ in range(q)]
         for x in range(q):
             for y in range(x, q):
-                prod_ = _poly_mul_mod(self._dig[x], self._dig[y], self.modulus, p)
-                prod_ = prod_ + [0] * (k - len(prod_))
-                v = undigits(prod_[:k])
+                v = undigits(_poly_mul_mod(self._dig[x], self._dig[y], self.modulus, p))
                 self.mul_table[x][y] = v
                 self.mul_table[y][x] = v
         self.neg_table = [self.mul_table[x][self.coerce(p - 1)] for x in range(q)]

@@ -40,13 +40,13 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import (InconclusiveError, ModuleInvariantError, NilpotencyBoundError,
-                     PreconditionError, SlopeDecompositionError)
+                     SlopeDecompositionError)
 from .exact_linalg import (Polynomial, QMatrix, QuotientMap, Subspace, char_poly,
                            factor_rational_poly, image, image_of_subspace, kernel,
                            newton_polygon, pvaluation, rat, subspace_intersect,
                            subspace_sum)
 from .filtration import DECREASING, INCREASING, IndexedFiltration
-from .galois import factor_prime_power
+from .galois import is_prime
 
 INVARIANT_SUBSPACE_GUARD = 100_000
 
@@ -118,11 +118,7 @@ class PhiNModule:
     def valid(self) -> bool:
         """True once every module invariant holds; else the first that fails
         is raised."""
-        try:
-            prime = factor_prime_power(self.p)[1] == 1
-        except PreconditionError:
-            prime = False
-        if not prime:
+        if not is_prime(self.p):
             raise ModuleInvariantError("p_prime", f"p = {self.p} is not a prime")
         n = self.dim
         if self.phi.rows != self.phi.cols or self.N.rows != self.N.cols or self.N.rows != n:

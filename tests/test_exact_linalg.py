@@ -6,10 +6,11 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from weightfil.errors import PreconditionError
-from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, _factor_mod_p, _good_prime,
-                                    _rref, char_poly, extend_basis, factor_rational_poly,
-                                    image, kernel, newton_polygon, rank, rat, rat_str,
+from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, _good_prime, _rref,
+                                    char_poly, extend_basis, factor_rational_poly, image,
+                                    kernel, newton_polygon, rank, rat, rat_str,
                                     subspace_intersect, subspace_sum)
+from weightfil.galois import factor_mod_p
 
 from conftest import qm, sub
 
@@ -447,7 +448,7 @@ def test_irreducible_polynomials_with_many_modular_factors():
         poly = sympy_poly(expr)
         f = [int(c) for c in poly.coeffs]
         p = _good_prime(f)
-        assert len(_factor_mod_p(f, p, rng)) >= least
+        assert len(factor_mod_p(f, p, rng)) >= least
         assert factor_rational_poly(poly) == [(poly, 1)]
 
 
