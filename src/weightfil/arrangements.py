@@ -6,9 +6,13 @@ The arrangement complement of all F_q-rational hyperplanes is computed two
 ways: a Gysin recursion that deletes one hyperplane at a time (purity makes
 the long exact sequence split), and the Moebius function of the intersection
 lattice (all subspaces of F_q^(r+1)); the Betti vector carries Frobenius
-q^m on degree m.  Blow-up Poincare polynomials live in even degrees with
-Frobenius q^(m/2) on degree m and are validated against a direct point
-count over F_{q^s}.
+q^m on degree m.  The recursion traces a normal on a hyperplane with one
+table lookup pair per coordinate; the Moebius route keys its incidences by
+projective points, generated from RREF rows, and sums mu over the supersets
+of a subspace by one popcount per distinct mu value.  A lattice of more than
+LATTICE_BUDGET subspaces is refused before anything is enumerated.  Blow-up
+Poincare polynomials live in even degrees with Frobenius q^(m/2) on degree
+m and are validated against a direct point count over F_{q^s}.
 """
 
 from __future__ import annotations
@@ -16,57 +20,62 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import CrossCheckError, PreconditionError
-from .galois import GF, enumerate_subspaces, factor_prime_power, gf_span_vectors
+from .drinfeld import gaussian_binomial
+from .errors import CrossCheckError, EnumerationBudgetError, PreconditionError
+from .galois import GF, enumerate_subspaces, factor_prime_power
+
+# the most subspaces of F_q^(r+1) the two routes may enumerate; the largest
+# benchmark case, r = 5 over F_2, has 2,825
+LATTICE_BUDGET = 10_000
 
 
 def _normalize(gf: GF, vec: tuple):
     """Scale a nonzero vector so its first nonzero entry is 1."""
     lead = next((x for x in vec if x), None)
-    if lead is None:
-        return None
-    inv = gf.inv(lead)
-    return tuple(gf.mul(inv, x) for x in vec)
+    if lead is None or lead == 1:
+        return vec if lead else None
+    return tuple(map(gf.mul_table[gf.inv(lead)].__getitem__, vec))
+
+
+def _projective_points(gf: GF, rows: tuple) -> list:
+    """The normalized nonzero vectors of the span of the RREF rows, each
+    once: one leading row plus any combination of the rows below it."""
+    add, mul = gf.add_table, gf.mul_table
+    points = []
+    below = [(0,) * len(rows[0])] if rows else []  # span of the rows below
+    for i in range(len(rows) - 1, -1, -1):
+        # c row_i + v, v in below: c = 1 gives the points led by row i and
+        # all c give span(rows[i:]); lanes[j] is the add-table row of c row_ij
+        cs = range(1, gf.q) if i else (1,)
+        shifted = [tuple(map(list.__getitem__, lanes, v))
+                   for lanes in ([add[mul[c][x]] for x in rows[i]] for c in cs)
+                   for v in below]
+        points += shifted[:len(below)]
+        below += shifted
+    return points
 
 
 def all_hyperplane_normals(gf: GF, n: int) -> list:
-    """All hyperplanes of P^(n-1) over F_q, as normalized normal vectors."""
-    out = set()
-    for v in product(range(gf.q), repeat=n):
-        nv = _normalize(gf, v)
-        if nv is not None:
-            out.add(nv)
-    return sorted(out)
-
-
-def _hyperplane_basis(gf: GF, normal: tuple) -> list:
-    """Rows spanning ker(normal) in F_q^n."""
-    n = len(normal)
-    piv = next(i for i in range(n) if normal[i])
-    rows = []
-    for j in range(n):
-        if j == piv:
-            continue
-        v = [0] * n
-        v[j] = 1
-        # adjust pivot coordinate so normal . v = 0
-        coeff = gf.neg(gf.mul(normal[j], gf.inv(normal[piv])))
-        v[piv] = coeff
-        rows.append(v)
-    return rows
+    """All hyperplanes of P^(n-1) over F_q, as normalized normal vectors:
+    the projective points of F_q^n."""
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return sorted(_projective_points(gf, identity))
 
 
 def _trace_arrangement(gf: GF, normals: frozenset, h: tuple) -> frozenset:
     """Restriction of the arrangement to the hyperplane h, as normals in the
-    coordinates of a chosen basis of h."""
-    basis = _hyperplane_basis(gf, h)
+    basis e_j + c_j e_piv (j != piv, c_j = -h_j / h_piv, piv the first
+    nonzero coordinate) of h: coordinate j of lam is lam_j + lam_piv c_j."""
+    add, mul = gf.add_table, gf.mul_table
+    piv = next(i for i, x in enumerate(h) if x)
+    inv = gf.inv(h[piv])
+    coeffs = [(j, gf.neg(mul[x][inv])) for j, x in enumerate(h) if j != piv]
     out = set()
     for lam in normals:
         if lam == h:
             continue
-        tr = tuple(
-            _dot(gf, lam, row) for row in basis)
-        nv = _normalize(gf, tr)
+        row = mul[lam[piv]]
+        nv = _normalize(gf, tuple([add[lam[j]][row[c]] for j, c in coeffs]))
         if nv is not None:
             out.add(nv)
     return frozenset(out)
@@ -104,36 +113,32 @@ def _gysin_betti(gf: GF, r: int, normals: frozenset, memo: dict) -> tuple:
     return result
 
 
-def _mobius_betti(q: int, r: int) -> tuple:
+def _mobius_betti(gf: GF, r: int) -> tuple:
     """Betti numbers of the full rational arrangement complement via the
     Moebius function of the intersection lattice (all subspaces of
     F_q^(r+1)); the projective answer divides the cone polynomial by 1+u."""
-    gf = GF(q)
     n = r + 1
-    # subspaces in order of codimension; contains[v] is the bitmask of the
-    # indices of the subspaces containing the vector v
+    # subspaces in order of codimension; contains[x] is the bitmask of the
+    # indices of the subspaces containing the projective point x
     bases = []
     contains = {}
     for k in range(n, -1, -1):
         for rows in enumerate_subspaces(gf, n, k):
             bit = 1 << len(bases)
             bases.append((n - k, rows))
-            for v in gf_span_vectors(gf, rows, n):
-                contains[v] = contains.get(v, 0) | bit
-    mob = [0] * len(bases)
+            for x in _projective_points(gf, rows):
+                contains[x] = contains.get(x, 0) | bit
+    by_mu = {}  # mu value -> bitmask of the subspaces with that value
     whitney = [0] * (n + 1)
     for i, (codim, rows) in enumerate(bases):
         # the strict supersets of subspace i all come before it
         sup = (1 << i) - 1
         for x in rows:
             sup &= contains[x]
-        s = 0
-        while sup:
-            j = sup.bit_length() - 1
-            s += mob[j]
-            sup ^= 1 << j
-        mob[i] = 1 if codim == 0 else -s
-        whitney[codim] += abs(mob[i])
+        mu = 1 if codim == 0 else -sum(m * (sup & mask).bit_count()
+                                       for m, mask in by_mu.items())
+        by_mu[mu] = by_mu.get(mu, 0) | 1 << i
+        whitney[codim] += abs(mu)
     # divide sum |mu| u^codim (degree n) by 1 + u
     quot = [0] * n
     quot[n - 1] = whitney[n]
@@ -153,11 +158,17 @@ def rational_arrangement_poincare(r: int, q: int) -> tuple:
         raise PreconditionError("need r >= 1")
     if q < 2:
         raise PreconditionError("need q >= 2")
+    factor_prime_power(q)  # F_q must exist
+    size = sum(gaussian_binomial(r + 1, k, q) for k in range(r + 2))
+    if size > LATTICE_BUDGET:
+        raise EnumerationBudgetError(
+            f"the intersection lattice has {size} subspaces, over the budget "
+            f"of {LATTICE_BUDGET}")
     gf = GF(q)
     normals = frozenset(all_hyperplane_normals(gf, r + 1))
     gysin = _gysin_betti(gf, r, normals, {})
     gysin = tuple(list(gysin) + [0] * (r + 1 - len(gysin)))
-    mobius = _mobius_betti(q, r)
+    mobius = _mobius_betti(gf, r)
     if gysin != mobius:
         raise CrossCheckError(
             f"arrangement method disagreement: gysin {gysin} vs mobius {mobius}")
@@ -167,7 +178,6 @@ def rational_arrangement_poincare(r: int, q: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _blowup_point_count(r: int, q: int, s: int) -> int:
-    from .drinfeld import gaussian_binomial
     t = q ** s
 
     def proj_points(m: int) -> int:
@@ -188,7 +198,6 @@ def blowup_poincare(r: int, q: int) -> tuple:
     if r < 0:
         raise PreconditionError("need r >= 0")
     factor_prime_power(q)  # F_q must exist
-    from .drinfeld import gaussian_binomial
 
     def poly(rr: int) -> list:
         # coefficients of H^0, H^2, H^4, ... (even degrees only)

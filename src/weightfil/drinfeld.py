@@ -174,6 +174,10 @@ def ball(center: LatticeClass, n: int, p: int, d: int,
     if not is_prime(p):
         # the neighbour enumeration reads GF(p) element codes as integers mod p
         raise PreconditionError(f"p must be a prime, got {p}")
+    # the link of the centre is enumerated whatever the radius: it and the
+    # centre must fit the budget before GF(p) and the lifts are built
+    if 1 + sum(gaussian_binomial(d + 1, s, p) for s in range(1, d + 1)) > budget:
+        raise EnumerationBudgetError(f"ball exceeds budget of {budget} vertices")
     gf = GF(p)
     subs, lifts = _subspace_lifts(gf, d + 1)
     dist = {center.rep: 0}

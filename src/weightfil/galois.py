@@ -10,14 +10,14 @@ splitting (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
 Elements of F_q, q = p^k, are integers 0..q-1 encoding polynomial
 coefficient vectors over F_p in base p, with table-based arithmetic.
 Intended for the desk-scale counting in the arrangement and building
-modules (q up to a few hundred)."""
+modules: `GF` refuses q above `GF_MAX_Q` before building any table."""
 
 from __future__ import annotations
 
 from itertools import product
 from math import isqrt
 
-from .errors import PreconditionError
+from .errors import EnumerationBudgetError, PreconditionError
 
 
 def _least_divisor(n: int) -> int:
@@ -29,10 +29,25 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _least_divisor(n) == n
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n, k >= 1, by integer Newton steps down from a
+    power of 2 above the root."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def factor_prime_power(q: int) -> tuple:
     if q < 2:
         raise PreconditionError("q must be >= 2")
-    p = _least_divisor(q)
+    # q = m^j for the largest such j: when q is a power of a prime p, m = p,
+    # so trial division finds p below sqrt(m), not below p
+    root = next((m for j in range(q.bit_length() - 1, 1, -1)
+                 if (m := _iroot(q, j)) ** j == q), q)
+    p = _least_divisor(root)
     k = 0
     m = q
     while m % p == 0:
@@ -167,10 +182,18 @@ def find_irreducible(p: int, k: int) -> list:
     raise PreconditionError("no irreducible polynomial found")  # unreachable
 
 
+# the largest field GF builds: at q = 256 its tables hold 2 q^2 entries,
+# about 1.1 MB, built in about 0.3 s; memory and time grow as q^2
+GF_MAX_Q = 256
+
+
 class GF:
     """F_q with add/mul tables; elements are ints 0..q-1."""
 
     def __init__(self, q: int):
+        if q > GF_MAX_Q:
+            raise EnumerationBudgetError(
+                f"F_{q} exceeds the field size cap of {GF_MAX_Q}")
         p, k = factor_prime_power(q)
         self.q = q
         self.p = p

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from weightfil.arrangements import (_gysin_betti, _mobius_betti,
+from weightfil.arrangements import (_dot, _gysin_betti, _mobius_betti, _normalize,
+                                    _projective_points, _trace_arrangement,
                                     all_hyperplane_normals, blowup_poincare,
                                     point_count_oracle,
                                     rational_arrangement_poincare)
@@ -21,6 +22,75 @@ def _span_oracle(gf, basis, n):
                 v = [gf.add(a, gf.mul(c, b)) for a, b in zip(v, row)]
         out.add(tuple(v))
     return sorted(out)
+
+
+def _hyperplane_basis(gf, normal):
+    """Rows spanning ker(normal) in F_q^n."""
+    n = len(normal)
+    piv = next(i for i in range(n) if normal[i])
+    rows = []
+    for j in range(n):
+        if j == piv:
+            continue
+        v = [0] * n
+        v[j] = 1
+        # adjust pivot coordinate so normal . v = 0
+        v[piv] = gf.neg(gf.mul(normal[j], gf.inv(normal[piv])))
+        rows.append(v)
+    return rows
+
+
+def _trace_oracle(gf, normals, h):
+    """The trace on h by an n-term dot product with each basis row of h: the
+    kernel _trace_arrangement used before its one-lookup-pair coordinates."""
+    basis = _hyperplane_basis(gf, h)
+    out = set()
+    for lam in normals:
+        if lam == h:
+            continue
+        nv = _normalize(gf, tuple(_dot(gf, lam, row) for row in basis))
+        if nv is not None:
+            out.add(nv)
+    return frozenset(out)
+
+
+def _quotient_by_one_plus_u(whitney):
+    n = len(whitney) - 1
+    quot = [0] * n
+    quot[n - 1] = whitney[n]
+    for c in range(n - 1, 0, -1):
+        quot[c - 1] = whitney[c] - quot[c]
+    assert whitney[0] == quot[0]
+    return tuple(quot)
+
+
+def _mobius_span_oracle(gf, r):
+    """The Moebius route as _mobius_betti ran it before projective points
+    and per-value sums: contains[v] over every vector of every span, and
+    mu(i) summed over the supersets of i one bit at a time."""
+    n = r + 1
+    bases = []
+    contains = {}
+    for k in range(n, -1, -1):
+        for rows in enumerate_subspaces(gf, n, k):
+            bit = 1 << len(bases)
+            bases.append((n - k, rows))
+            for v in gf_span_vectors(gf, rows, n):
+                contains[v] = contains.get(v, 0) | bit
+    mob = [0] * len(bases)
+    whitney = [0] * (n + 1)
+    for i, (codim, rows) in enumerate(bases):
+        sup = (1 << i) - 1
+        for x in rows:
+            sup &= contains[x]
+        s = 0
+        while sup:
+            j = sup.bit_length() - 1
+            s += mob[j]
+            sup ^= 1 << j
+        mob[i] = 1 if codim == 0 else -s
+        whitney[codim] += abs(mob[i])
+    return _quotient_by_one_plus_u(whitney)
 
 
 def _mobius_betti_oracle(q, r):
@@ -46,12 +116,7 @@ def _mobius_betti_oracle(q, r):
                 if cj < codim and (mj & mask) == mask)
         mob.append(1 if codim == 0 else -s)
         whitney[codim] += abs(mob[-1])
-    quot = [0] * n
-    quot[n - 1] = whitney[n]
-    for c in range(n - 1, 0, -1):
-        quot[c - 1] = whitney[c] - quot[c]
-    assert whitney[0] == quot[0]
-    return tuple(quot)
+    return _quotient_by_one_plus_u(whitney)
 
 
 def test_line_cases():
@@ -78,9 +143,38 @@ def test_methods_agree_r_up_to_3():
 
 
 def test_mobius_matches_all_pairs_oracle():
-    cases = [(r, q) for r in (1, 2, 3) for q in (2, 3, 4)] + [(4, 2), (4, 3)]
+    cases = [(r, q) for r in (1, 2, 3) for q in (2, 3, 4)] + [
+        (4, 2), (4, 3), (2, 7), (2, 9), (3, 5)]
     for r, q in cases:
-        assert _mobius_betti(q, r) == _mobius_betti_oracle(q, r), (r, q)
+        gf = GF(q)
+        expected = _mobius_betti_oracle(q, r)
+        assert _mobius_betti(gf, r) == expected, (r, q)
+        assert _mobius_span_oracle(gf, r) == expected, (r, q)
+
+
+def test_projective_points_are_the_normalized_span():
+    for q in (2, 3, 4, 9):
+        gf = GF(q)
+        for n in range(1, 5 if q < 9 else 4):
+            for k in range(n + 1):
+                for rows in enumerate_subspaces(gf, n, k):
+                    points = _projective_points(gf, rows)
+                    assert len(points) == len(set(points)) == (q ** k - 1) // (q - 1)
+                    span = {_normalize(gf, v) for v in gf_span_vectors(gf, rows, n)}
+                    span.discard(None)
+                    assert set(points) == span, (q, rows)
+
+
+def test_trace_matches_basis_dot_oracle():
+    rng = random.Random(22)
+    for r, q in ((2, 2), (2, 3), (3, 2), (3, 4), (2, 9)):
+        gf = GF(q)
+        normals = all_hyperplane_normals(gf, r + 1)
+        subs = [frozenset(normals)] + [
+            frozenset(rng.sample(normals, rng.randint(1, len(normals)))) for _ in range(5)]
+        for sub in subs:
+            for h in normals:
+                assert _trace_arrangement(gf, sub, h) == _trace_oracle(gf, sub, h), (r, q, h)
 
 
 def test_arrangement_closed_form():
@@ -108,6 +202,11 @@ def test_span_matches_coefficient_oracle():
 def test_hyperplane_count():
     gf = GF(3)
     assert len(all_hyperplane_normals(gf, 3)) == 13  # (q^3-1)/(q-1)
+    # the normalized nonzero vectors of F_q^n, each once, in sorted order
+    for q, n in ((2, 1), (2, 4), (3, 3), (4, 3), (9, 2)):
+        gf = GF(q)
+        vectors = {_normalize(gf, v) for v in product(range(q), repeat=n)} - {None}
+        assert all_hyperplane_normals(gf, n) == sorted(vectors), (q, n)
 
 
 def test_point_count_identity_arrangements():

@@ -2,8 +2,11 @@ import argparse
 import importlib.util
 import json
 import pathlib
+import resource
 import subprocess
 import sys
+
+import pytest
 
 from weightfil.cli import build_parser
 
@@ -308,6 +311,29 @@ def test_drinfeld_ball_rejects_non_prime_p():
     res = run_cli(["drinfeld-ball", "--d", "1", "--p", "4", "--n", "1"])
     assert res.returncode == 2
     assert b"p must be a prime" in res.stderr
+
+
+def _run_cli_bounded(args, seconds=20, memory=1 << 28):
+    """run_cli in a child process held to `memory` bytes of address space and
+    `seconds` of wall time, so that an unguarded enumeration fails fast."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    return subprocess.run([sys.executable, "-m", "weightfil.cli"] + args,
+                          capture_output=True, timeout=seconds, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("args,bound", [
+    (["drinfeld-arrangement", "--r", "1", "--q", "1000003"], b"budget of 10000"),
+    (["drinfeld-arrangement", "--r", "3", "--q", "1009"], b"budget of 10000"),
+    (["drinfeld-ball", "--d", "1", "--p", "1000003", "--n", "1"], b"budget of 100000 vertices"),
+    (["drinfeld-ball", "--d", "1", "--p", "1000003", "--n", "1", "--budget", "2000000"],
+     b"cap of 256"),
+    (["drinfeld-arrangement", "--r", "1", "--q", "257"], b"cap of 256")],
+    ids=["field", "lattice", "link", "ball_field", "arrangement_field"])
+def test_size_guards_refuse_before_building_tables(args, bound):
+    res = _run_cli_bounded(args)
+    assert res.returncode == 2, res.stderr
+    assert bound in res.stderr, res.stderr
 
 
 def test_drinfeld_ball_rejects_d_below_one():

@@ -224,6 +224,12 @@ def test_ball_adjacency_symmetric_and_bounded():
 def test_ball_budget_guard():
     with pytest.raises(EnumerationBudgetError):
         ball(LatticeClass.base(1, 3), 5, 3, 1, budget=20)
+    # the centre and its 26 neighbours over F_3^3 are counted before the
+    # link is enumerated, whatever the radius
+    for n in (0, 1):
+        with pytest.raises(EnumerationBudgetError, match="budget of 26 vertices"):
+            ball(LatticeClass.base(2, 3), n, 3, 2, budget=26)
+        assert len(ball(LatticeClass.base(2, 3), n, 3, 2, budget=27).vertices) == 1 + 26 * n
 
 
 def test_neighbor_homogeneity_random_vertices():

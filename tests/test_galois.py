@@ -5,9 +5,9 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from weightfil.errors import PreconditionError
-from weightfil.galois import (GF, _pmod, _poly_gcd, _poly_pow_mod, _psub, factor_mod_p,
-                              factor_prime_power, find_irreducible, is_prime)
+from weightfil.errors import EnumerationBudgetError, PreconditionError
+from weightfil.galois import (GF, GF_MAX_Q, _iroot, _pmod, _poly_gcd, _poly_pow_mod, _psub,
+                              factor_mod_p, factor_prime_power, find_irreducible, is_prime)
 
 X = sympy.Symbol("x")
 
@@ -111,6 +111,59 @@ def test_prime_power_check_costs_square_root_trial_divisions():
     _CountingInt.mods = 0
     assert not is_prime(_CountingInt(3 * q))
     assert _CountingInt.mods == 2
+
+
+class _TracedInt(_CountingInt):
+    """A counting int whose arithmetic results are counting ints too, so that
+    the reductions of every value computed from it are counted."""
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+              "__rpow__", "__lshift__", "__neg__"):
+    def _op(self, *args, _f=getattr(_CountingInt, _name)):
+        out = _f(self, *args)
+        return _TracedInt(out) if type(out) is int else out
+    setattr(_TracedInt, _name, _op)
+
+
+def test_prime_power_check_takes_the_root_of_a_prime_square():
+    # q = p^2 once cost a scan to p (1,000,005 reductions here); the square
+    # root of q is tested by trial division to sqrt(p) instead
+    p = 1_000_003
+    _CountingInt.mods = 0
+    assert factor_prime_power(_TracedInt(p * p)) == (p, 2)
+    assert _CountingInt.mods < 2 * isqrt(p)
+    assert factor_prime_power(p ** 5) == (p, 5)
+    assert factor_prime_power(2 ** 1100) == (2, 1100)  # beyond the range of a float
+    with pytest.raises(PreconditionError, match=f"^{p ** 2 * 2} is not a prime power$"):
+        factor_prime_power(p ** 2 * 2)
+
+
+def test_factor_prime_power_matches_sympy():
+    for q in range(2, 5000):
+        factors = sympy.factorint(q)
+        if len(factors) == 1:
+            assert factor_prime_power(q) == next(iter(factors.items())), q
+        else:
+            with pytest.raises(PreconditionError, match=f"^{q} is not a prime power$"):
+                factor_prime_power(q)
+
+
+def test_iroot_is_the_floor_root():
+    rng = random.Random(22)
+    for _ in range(300):
+        n, k = rng.randrange(1, 10 ** rng.randint(1, 400)), rng.randint(1, 40)
+        m = _iroot(n, k)
+        assert m ** k <= n < (m + 1) ** k, (n, k)
+
+
+def test_gf_refuses_fields_above_the_cap():
+    assert GF(GF_MAX_Q).q == GF_MAX_Q
+    with pytest.raises(EnumerationBudgetError, match=f"cap of {GF_MAX_Q}"):
+        GF(257)
+    with pytest.raises(EnumerationBudgetError, match=f"cap of {GF_MAX_Q}"):
+        GF(1_000_003)
 
 
 def _sympy_factors_mod_p(f, p):
