@@ -187,13 +187,10 @@ def _ss_cech(nd, args):
     h = sp.total_cohomology_dims(fc)
     bound = sp.stable_page_index(fc) + 1
     abut = {}
-    for n in sorted(h):
-        fl = sp.abutment_filtration(fc, n)
-        abut[str(n)] = {
-            "graded": graded_dims_to_json(fl.graded_dims()),
-            "labels": {str(p): info["label"]
-                       for p, info in sp.abutment_labels(fc, n).items()},
-        }
+    for n in h:
+        pieces = sp.abutment_labels(fc, n).items()
+        abut[str(n)] = {"graded": {str(p): info["dim"] for p, info in pieces},
+                        "labels": {str(p): info["label"] for p, info in pieces}}
     return {
         "e1": _bidegrees(sp.e_page(fc, 1).entries),
         "total_cohomology": {str(n): d for n, d in h.items()},

@@ -415,11 +415,14 @@ def inverse(m: QMatrix) -> QMatrix:
 def extend_basis(inner: Subspace, outer: Subspace) -> list:
     """Rows of outer completing inner's basis to a basis of outer: the
     pivot columns of the RREF of inner's then outer's basis rows, taken as
-    columns, pick each outer row that is independent of those before it."""
-    if not outer.contains(inner):
-        raise ValueError("inner is not contained in outer")
+    columns, pick each outer row that is independent of those before it.
+    inner <= outer iff those rows have rank outer.dim; else ValueError."""
+    if inner.ambient_dim != outer.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
     outer_rows = outer.basis_rows()
     _, pivots = _rref([list(col) for col in zip(*inner.basis_rows(), *outer_rows)])
+    if len(pivots) != outer.dim:
+        raise ValueError("inner is not contained in outer")
     return [tuple(outer_rows[c - inner.dim]) for c in pivots if c >= inner.dim]
 
 

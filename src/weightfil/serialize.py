@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import EnumerationBudgetError, SchemaError
 from .exact_linalg import QMatrix, Subspace, rat
 from .filtration import DECREASING, IndexedFiltration
 from .nerve import NerveDatum
@@ -23,6 +23,10 @@ SUBSET_SEP = ","
 # an optional sign, decimal digits and an optional /denominator
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 ARROW = "->"
+# the most dimensions the spaces of one filtered complex may add up to:
+# construction keeps a dense adapted basis of every degree, so its memory and
+# time grow with the square of a dimension that costs a few input bytes
+MAX_COMPLEX_DIM = 256
 
 
 def _require_keys(obj: dict, required: set, optional: set, what: str):
@@ -216,6 +220,9 @@ def load_filtered_complex(obj: dict) -> FilteredComplex:
     _check_schema(obj, "filtered complex")
     spaces = {n: _parse_int(v, f"spaces[{n}]", 0)
               for n, v in _int_items(obj["spaces"], "spaces")}
+    if sum(spaces.values()) > MAX_COMPLEX_DIM:
+        raise EnumerationBudgetError(f"spaces of total dimension {sum(spaces.values())} "
+                                     f"exceed the cap of {MAX_COMPLEX_DIM}")
     diffs = {}
     for n, rows in _int_items(obj.get("differentials", {}), "differentials"):
         shape = (spaces.get(n + 1, 0), spaces.get(n, 0))

@@ -14,23 +14,24 @@ r = p' - p; both ends count in E_r' for every r' <= r, and d_r is the 0/1
 partial identity on the pairs of length r.  Unpaired vectors count on
 every page.
 
-Filtrations are decreasing, exhaustive and bounded, and must satisfy
-d(F^p) <= F^p; a FilteredComplex checks this and d o d = 0 once, at
-construction.  The pairing, each page and each abutment filtration are
-computed at most once per FilteredComplex and kept on it, so a complex must
-not be mutated after construction.
+Filtrations are decreasing, exhaustive and bounded, with d(F^p) <= F^p.
+Constructing a FilteredComplex is the one pass that writes d in adapted
+bases: it checks these conditions and d o d = 0 there and keeps the
+pairing, off which pages, dim H^n and dim gr^p H^n (the E_infinity
+diagonal) are read.  Only the abutment filtration, for Steenbrink, is built
+from kernel / image quotients.  All are kept on the complex: do not mutate it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 
 from .errors import FiltrationError, PreconditionError
 from .exact_linalg import (QMatrix, QuotientMap, Subspace, _integer_row, _primitive,
-                           extend_basis, image, image_of_subspace, inverse, kernel,
-                           subspace_intersect)
+                           extend_basis, image, inverse, kernel, subspace_intersect)
 from .filtration import DECREASING, IndexedFiltration
 
 
@@ -149,7 +150,8 @@ class FilteredComplex:
     filtration: dict
     blocks: dict | None = None    # degree -> ordered list of (p, q, size)
     labels: dict | None = None    # (p, q) -> weight label
-    # "pairing" -> _pairing, ("page", r) -> Page, ("abutment", n) -> filtration
+    # "pairing" -> (levels, pairs), kept by validate; ("page", r) -> Page;
+    # ("quotient", n) -> QuotientMap; ("abutment", n) -> IndexedFiltration
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -175,28 +177,47 @@ class FilteredComplex:
         return Subspace.zero(dim_n)
 
     def validate(self) -> "FilteredComplex":
+        """Check d o d = 0 and the filtration, and keep the pairing.  The levels
+        nest iff extend_basis builds each degree's adapted basis from the top
+        down; d respects F iff no column of d in those bases has a nonzero row
+        of lower level, and d(F^p) <= F^p first fails one above the lowest."""
         self.complex.validate()
         lo, hi = self.p_range()
-        for n in list(self.complex.spaces):
-            dim_n = self.complex.dim(n)
-            prev = None
-            for p in range(lo, hi + 2):
+        levels, basis = {}, {}
+        for n, dim_n in self.complex.spaces.items():
+            if any(s.ambient_dim != dim_n for s in self.filtration.get(n, {}).values()):
+                raise FiltrationError(f"filtration ambient mismatch at degree {n}")
+            levels[n], basis[n] = [], []
+            prev = Subspace.zero(dim_n)
+            for p in range(hi + 1, lo - 1, -1):
                 cur = self.fil_at(n, p)
-                if cur.ambient_dim != dim_n:
-                    raise FiltrationError(f"filtration ambient mismatch at degree {n}")
-                if prev is not None and not prev.contains(cur):
-                    raise FiltrationError(f"filtration not decreasing at degree {n}")
+                if cur != prev:
+                    try:
+                        new = extend_basis(prev, cur)
+                    except ValueError:
+                        raise FiltrationError(f"filtration not decreasing at degree {n}")
+                    basis[n] += new
+                    levels[n] += [p] * len(new)
                 prev = cur
-            if not self.fil_at(n, lo).is_full():
+            if not prev.is_full():
                 raise FiltrationError(f"filtration not exhaustive at degree {n}")
-            if not self.fil_at(n, hi + 1).is_zero():
+            if hi + 1 in levels[n]:
                 raise FiltrationError(f"filtration not bounded at degree {n}")
-            d = self.complex.diff(n)
-            for p in range(lo, hi + 1):
-                img = image_of_subspace(d, self.fil_at(n, p))
-                if not self.fil_at(n + 1, p).contains(img):
-                    raise FiltrationError(
-                        f"differential does not respect filtration at degree {n}, level {p}")
+        cols = {}
+        for n in levels:
+            if not (levels[n] and levels.get(n + 1)):
+                continue
+            # with the adapted bases as the rows of B_n and B_(n+1), row i of
+            # B_n d^T B_(n+1)^-1 is column i of d in those bases
+            m = (QMatrix.from_rows(basis[n]) @ self.complex.diff(n).transpose()
+                 @ inverse(QMatrix.from_rows(basis[n + 1])))
+            cols[n] = [_integer_row(m.row(i)) for i in range(m.rows)]
+            bad = [levels[n + 1][low] for low, p in zip(map(_lowest, cols[n]), levels[n])
+                   if low is not None and levels[n + 1][low] < p]
+            if bad:
+                raise FiltrationError(f"differential does not respect filtration "
+                                      f"at degree {n}, level {min(bad) + 1}")
+        self._memo["pairing"] = levels, _pairing(levels, cols)
         return self
 
 
@@ -219,42 +240,21 @@ class Page:
                    for (p, q), d in self.entries.items())
 
 
-def _pairing(fc: FilteredComplex):
-    """(levels, pairs): the persistence pairing of fc.
+def _pairing(levels: dict, cols: dict) -> list:
+    """The persistence pairing [(n, i, j, r)] of d in adapted bases.
 
     levels[n] lists the level of each vector of a basis of C^n adapted to
     the filtration, by decreasing level, so that each F^p C^n is spanned by
-    a prefix.  pairs lists (n, i, j, r): after the columns of d in these
-    bases are reduced from left to right, column i of degree n has its
-    lowest nonzero entry, the one of lowest level, in row j, and
-    r = levels[n + 1][j] - levels[n][i].  Each basis vector lies in at most
-    one pair.
+    a prefix; cols[n] lists the columns of d^n in those bases as integer
+    rows.  After the columns are reduced from left to right, column i of
+    degree n has its lowest nonzero entry, the one of lowest level, in row
+    j, and r = levels[n + 1][j] - levels[n][i].  Each basis vector lies in
+    at most one pair.
     """
-    if "pairing" in fc._memo:
-        return fc._memo["pairing"]
-    lo, hi = fc.p_range()
-    levels, basis = {}, {}
-    for n in fc.complex.degrees():
-        levels[n], basis[n] = [], []
-        prev = Subspace.zero(fc.complex.dim(n))
-        for p in range(hi, lo - 1, -1):
-            cur = fc.fil_at(n, p)
-            if cur.dim > prev.dim:
-                new = extend_basis(prev, cur)
-                basis[n] += new
-                levels[n] += [p] * len(new)
-            prev = cur
     pairs = []
-    for n in levels:
-        if n + 1 not in levels:
-            continue
-        # with the adapted bases as the rows of B_n and B_(n+1), row i of
-        # B_n d^T B_(n+1)^-1 is column i of d in those bases
-        cols = (QMatrix.from_rows(basis[n]) @ fc.complex.diff(n).transpose()
-                @ inverse(QMatrix.from_rows(basis[n + 1])))
+    for n, rows in cols.items():
         reduced = {}    # lowest nonzero row -> the reduced column owning it
-        for i in range(cols.rows):
-            col = _integer_row(cols.row(i))
+        for i, col in enumerate(rows):
             low = _lowest(col)
             while low in reduced:
                 other = reduced[low]
@@ -264,8 +264,7 @@ def _pairing(fc: FilteredComplex):
             if low is not None:
                 reduced[low] = col
                 pairs.append((n, i, low, levels[n + 1][low] - levels[n][i]))
-    fc._memo["pairing"] = levels, pairs
-    return levels, pairs
+    return pairs
 
 
 def _lowest(col: list):
@@ -280,7 +279,7 @@ def e_page(fc: FilteredComplex, r: int) -> Page:
         raise PreconditionError("page index must be >= 0")
     if ("page", r) in fc._memo:
         return fc._memo[("page", r)]
-    levels, pairs = _pairing(fc)
+    levels, pairs = fc._memo["pairing"]
     short = {end for n, i, j, length in pairs if length < r for end in ((n, i), (n + 1, j))}
     position, entries = {}, {}      # position: (n, i) -> index within its entry
     for n, lv in levels.items():
@@ -313,7 +312,7 @@ def degeneration_page(fc: FilteredComplex, bound: int):
     censored: no r >= 1 lies within it."""
     if bound < 0:
         raise PreconditionError("bound must be >= 0")
-    last_nonzero = max((length for *_, length in _pairing(fc)[1]
+    last_nonzero = max((length for *_, length in fc._memo["pairing"][1]
                         if 1 <= length <= bound), default=0)
     if last_nonzero == bound:
         return None
@@ -321,19 +320,19 @@ def degeneration_page(fc: FilteredComplex, bound: int):
 
 
 def total_cohomology_dims(fc: FilteredComplex) -> dict:
-    out = {}
-    for n in fc.complex.degrees():
-        h = fc.complex.cohomology_dim(n)
-        if h:
-            out[n] = h
-    return out
+    """{n: dim H^n(total)} where nonzero: the E_infinity diagonal sums."""
+    out = Counter()
+    for (p, q), d in e_page(fc, stable_page_index(fc)).entries.items():
+        out[p + q] += d
+    return dict(sorted(out.items()))
 
 
 def abutment_quotient(fc: FilteredComplex, n: int) -> QuotientMap:
     """Coordinates on H^n(total) = ker d^n / im d^(n-1)."""
-    z = kernel(fc.complex.diff(n))
-    b = image(fc.complex.diff(n - 1))
-    return QuotientMap(b, z)
+    if ("quotient", n) not in fc._memo:
+        fc._memo[("quotient", n)] = QuotientMap(image(fc.complex.diff(n - 1)),
+                                                kernel(fc.complex.diff(n)))
+    return fc._memo[("quotient", n)]
 
 
 def abutment_filtration(fc: FilteredComplex, n: int) -> IndexedFiltration:
@@ -375,7 +374,7 @@ def equivariant_degeneration_check(fc: FilteredComplex, bound: int | None = None
                         f"label-inconsistent differential {pq_s} -> {pq_t}")
     if bound is None:
         bound = stable_page_index(fc) + 1
-    return not any(2 <= length <= bound for *_, length in _pairing(fc)[1])
+    return not any(2 <= length <= bound for *_, length in fc._memo["pairing"][1])
 
 
 def _block_slices(fc: FilteredComplex, n: int) -> list:
@@ -390,12 +389,10 @@ def _block_slices(fc: FilteredComplex, n: int) -> list:
 
 
 def abutment_labels(fc: FilteredComplex, n: int) -> dict:
-    """Weight label carried by each graded piece of the abutment filtration,
-    keyed by filtration level p (the label of the row q = n - p)."""
+    """{p: {"dim": dim gr^p H^n = E_infinity^{p,n-p}, "label": the label of
+    row q = n - p}} over the nonzero graded pieces of the abutment on H^n."""
     if fc.labels is None:
         raise PreconditionError("complex carries no weight labels")
-    fl = abutment_filtration(fc, n)
-    out = {}
-    for p, g in fl.graded_dims().items():
-        out[int(p)] = {"dim": g, "label": fc.labels.get((int(p), n - int(p)))}
-    return out
+    entries = e_page(fc, stable_page_index(fc)).entries
+    return {p: {"dim": d, "label": fc.labels.get((p, q))}
+            for (p, q), d in sorted(entries.items()) if p + q == n}

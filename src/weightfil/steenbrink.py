@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import CrossCheckError, PreconditionError
 from .exact_linalg import QMatrix
 from .filtration import INCREASING, IndexedFiltration
 from .phin import _n_chain, convolution_step
 from .spectral import (DirectSum, FilteredComplex, abutment_filtration, abutment_quotient,
-                       block_matrix, filtered_total_complex, total_cohomology_dims)
+                       block_matrix, e_page, filtered_total_complex, stable_page_index,
+                       total_cohomology_dims)
 
 
 @dataclass
@@ -184,17 +185,25 @@ def analyze_steenbrink(sd: SteenbrinkDatum) -> SteenbrinkAnalysis:
     h_dims = total_cohomology_dims(fc)
     weight_graded, monodromy, ranks, wfils, mfils, mw = {}, {}, {}, {}, {}, {}
     lo, hi = fc.p_range()
+    e_inf = e_page(fc, stable_page_index(fc)).entries
     # N^(max level) vanishes on the abutment: levels deeper than the maximal
     # stratum intersection do not exist
     nilpotent_ok = True
-    for n in sorted(h_dims):
+    for n in h_dims:
         qm = abutment_quotient(fc, n)
+        fl = abutment_filtration(fc, n)
+        graded = fl.graded_dims()
+        # two routes to H^n and its graded dims: the pairing's E_infinity,
+        # and the kernel / image quotient with its per-level subspaces
+        if qm.dim != h_dims[n] or graded != {p: d for (p, q), d in e_inf.items()
+                                             if p + q == n}:
+            raise CrossCheckError(f"H^{n}: the pairing and the kernel / image "
+                                  "quotient disagree")
         monodromy[n] = nu_h = qm.induced_matrix(nus[n])
         chain = _n_chain(nu_h)
         ranks[n] = qm.dim - chain.ker(1).dim
         nilpotent_ok = nilpotent_ok and chain.ker(max(sd.max_level(), 1)).is_full()
-        fl = abutment_filtration(fc, n)
-        weight_graded[n] = {n - int(p): g for p, g in fl.graded_dims().items()}
+        weight_graded[n] = {n - int(p): g for p, g in graded.items()}
         wfils[n] = IndexedFiltration.make(
             qm.dim, INCREASING, {r: fl.at(-r) for r in range(-hi, -lo + 1)})
         mfils[n] = IndexedFiltration.make(qm.dim, INCREASING, {

@@ -336,11 +336,36 @@ def test_size_guards_refuse_before_building_tables(args, bound):
     assert bound in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("spaces,code", [
+    ({"0": 4000}, 2), ({str(n): 16 for n in range(17)}, 2), ({"0": 256}, 0)],
+    ids=["one_space", "many_degrees", "at_cap"])
+def test_filtered_complex_dimension_cap(tmp_path, spaces, code):
+    # a bare dimension costs a few input bytes and a dense basis: the spaces'
+    # total is refused before any matrix is built, and the cap itself fits
+    res = _run_cli_bounded(["ss-pages", str(write(tmp_path, "c.json",
+                                                  {"schema": 1, "spaces": spaces}))])
+    assert res.returncode == code, res.stderr
+    assert (b"cap of 256" in res.stderr) == bool(code), res.stderr
+
+
 def test_drinfeld_ball_rejects_d_below_one():
     for d in ("-1", "0"):
         res = run_cli(["drinfeld-ball", "--d", d, "--p", "2", "--n", "3"])
         assert res.returncode == 2, d
         assert b"d must be >= 1" in res.stderr, d
+
+
+@pytest.mark.parametrize("route,corrupt", [
+    ("total_cohomology_dims", lambda real: lambda fc: {n: h + 1 for n, h in real(fc).items()}),
+    ("stable_page_index", lambda real: lambda fc: 1)],
+    ids=["pairing_h", "e_infinity"])
+def test_ss_steenbrink_routes_disagreeing_exit_3(tmp_path, monkeypatch, capsys, route, corrupt):
+    # H^n and its graded dims come from the pairing and from the kernel /
+    # image quotient; a wrong H^n or a page short of E_infinity is caught
+    from weightfil import cli, steenbrink
+    monkeypatch.setattr(steenbrink, route, corrupt(getattr(steenbrink, route)))
+    assert cli.main(["ss-steenbrink", str(write(tmp_path, "s.json", CYCLE3_STEENBRINK))]) == 3
+    assert "cross-check failure: H^" in capsys.readouterr().err
 
 
 def test_phin_analyze_decides_admissibility_once(tmp_path, monkeypatch, capsys):

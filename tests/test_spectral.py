@@ -7,13 +7,13 @@ import pytest
 
 from weightfil import exact_linalg
 from weightfil.errors import FiltrationError, PreconditionError
-from weightfil.exact_linalg import (QMatrix, QuotientMap, Subspace, image_of_subspace,
+from weightfil.exact_linalg import (QMatrix, QuotientMap, Subspace, image, image_of_subspace,
                                     inverse, kernel, rank, subspace_intersect,
                                     subspace_sum)
 from weightfil.nerve import cech_complex
 from weightfil.serialize import load_filtered_complex, load_nerve, load_steenbrink
-from weightfil.spectral import (FilteredComplex, GradedComplex, Page, _pairing,
-                                abutment_filtration, degeneration_page, e_page,
+from weightfil.spectral import (FilteredComplex, GradedComplex, Page, abutment_filtration,
+                                abutment_labels, degeneration_page, e_page,
                                 equivariant_degeneration_check, stable_page_index,
                                 total_cohomology_dims)
 from weightfil.steenbrink import steenbrink_double_complex
@@ -193,15 +193,20 @@ def test_next_page_is_homology_of_current():
     assert_next_page_is_homology(two_level_complex(), range(0, 4))
 
 
-def random_filtered_complex(rng):
+def random_filtered_complex(rng, leak=False):
     """Pairs x -> y (d x = y, levels a <= b, so d_(b-a) kills them) and
     lone cycles on coordinate levels 0..4, then a random basis change in
-    every degree, so that no filtration step is a coordinate span."""
+    every degree, so that no filtration step is a coordinate span.  With
+    `leak`, one more pair has b < a: d then leaves F^(b+1)."""
     levels = {n: [] for n in range(4)}
     pairs = []
-    for _ in range(rng.randint(3, 7)):
+    for k in range(rng.randint(3, 7) + leak):
         n, a = rng.randint(0, 2), rng.randint(0, 3)
-        if rng.random() < 0.7:
+        if k == 0 and leak:
+            a = rng.randint(1, 4)
+            pairs.append((n, len(levels[n]), len(levels[n + 1])))
+            levels[n + 1].append(rng.randint(0, a - 1))
+        elif rng.random() < 0.7:
             pairs.append((n, len(levels[n]), len(levels[n + 1])))
             levels[n + 1].append(rng.randint(a, 4))
         levels[n].append(a)
@@ -380,7 +385,7 @@ def test_pairing_uses_each_basis_vector_once():
     rng = random.Random(5)
     for _ in range(20):
         fc = FilteredComplex(*random_filtered_complex(rng))
-        levels, pairs = _pairing(fc)
+        levels, pairs = fc._memo["pairing"]    # kept by construction
         ends = [(n, i) for n, i, _, _ in pairs] + [(n + 1, j) for n, _, j, _ in pairs]
         assert len(ends) == len(set(ends))
         for n, i, j, length in pairs:
@@ -390,15 +395,130 @@ def test_pairing_uses_each_basis_vector_once():
 
 
 def test_later_pages_add_no_eliminations(monkeypatch):
-    fc = load_filtered_complex(D2_COMPLEX)
+    # construction runs every elimination of the pairing; the pages, H^n, the
+    # abutment's graded pieces, the degeneration page and the equivariant
+    # check read it without one more
+    plain, labelled = load_filtered_complex(D2_COMPLEX), complex_of("ss-cech", TRIANGLE_NERVE)
     calls = []
     rref = exact_linalg._rref
     monkeypatch.setattr(exact_linalg, "_rref", lambda rows: calls.append(1) or rref(rows))
-    for r in range(2):
-        e_page(fc, r)
-    first = len(calls)
-    assert first > 0
-    for r in range(7):
-        e_page(fc, r)
-    assert degeneration_page(fc, 6) == 3
-    assert len(calls) == first
+    for fc in (plain, labelled):
+        for r in range(7):
+            e_page(fc, r)
+        degeneration_page(fc, 6)
+        total_cohomology_dims(fc)
+    for n in total_cohomology_dims(labelled):
+        abutment_labels(labelled, n)
+    assert equivariant_degeneration_check(labelled) is True
+    assert degeneration_page(plain, 6) == 3
+    assert calls == []
+    FilteredComplex(plain.complex, plain.filtration)
+    assert calls  # the counter sees the eliminations of a construction
+
+
+class Unchecked(FilteredComplex):
+    """A FilteredComplex that skips validation, for the oracle below."""
+
+    def validate(self):
+        return self
+
+
+def oracle_validate(gc, fil):
+    """The per-level check that construction replaced: degree by degree,
+    the levels are nested, F^lo is full, F^(hi+1) is zero, and
+    d(F^p C^n) <= F^p C^(n+1) level by level, by subspace images."""
+    gc.validate()
+    fc = Unchecked(gc, fil)
+    lo, hi = fc.p_range()
+    for n in list(gc.spaces):
+        dim_n = gc.dim(n)
+        prev = None
+        for p in range(lo, hi + 2):
+            cur = fc.fil_at(n, p)
+            if cur.ambient_dim != dim_n:
+                raise FiltrationError(f"filtration ambient mismatch at degree {n}")
+            if prev is not None and not prev.contains(cur):
+                raise FiltrationError(f"filtration not decreasing at degree {n}")
+            prev = cur
+        if not fc.fil_at(n, lo).is_full():
+            raise FiltrationError(f"filtration not exhaustive at degree {n}")
+        if not fc.fil_at(n, hi + 1).is_zero():
+            raise FiltrationError(f"filtration not bounded at degree {n}")
+        d = gc.diff(n)
+        for p in range(lo, hi + 1):
+            img = image_of_subspace(d, fc.fil_at(n, p))
+            if not fc.fil_at(n + 1, p).contains(img):
+                raise FiltrationError(
+                    f"differential does not respect filtration at degree {n}, level {p}")
+
+
+def grow_one_level(rng, gc, fil):
+    """F^p C^n plus a vector outside F^(p-1) C^n: only nestedness fails,
+    since the larger F^p still holds d(F^p C^(n-1))."""
+    fc = Unchecked(gc, fil)
+    spots = [(n, p) for n in fil for p in fil[n] if not fc.fil_at(n, p - 1).is_full()]
+    if not spots:
+        return None
+    n, p = rng.choice(spots)
+    below = fc.fil_at(n, p - 1)
+    v = next(e for e in Subspace.full(gc.dim(n)).basis_rows() if not below.contains_vector(e))
+    return {**fil, n: {**fil[n], p: subspace_sum(fil[n][p], sub(gc.dim(n), [v]))}}
+
+
+def shrink_bottom(rng, gc, fil):
+    """F^lo C^n cut down to F^(lo+1) C^n + im d^(n-1), a proper subspace
+    that d still maps into and out of: only exhaustiveness fails."""
+    fc = Unchecked(gc, fil)
+    lo, _ = fc.p_range()
+    spots = [(n, s) for n in gc.degrees()
+             if not (s := subspace_sum(fc.fil_at(n, lo + 1), image(gc.diff(n - 1)))).is_full()]
+    if not spots:
+        return None
+    n, s = rng.choice(spots)
+    return {**fil, n: {**fil[n], lo: s}}
+
+
+def lift_top(rng, gc, fil):
+    """Every level moved below 0 and one degree's levels dropped: that degree
+    is then the full space at hi + 1 = 0, so only boundedness fails."""
+    if len(fil) < 2:
+        return None
+    hi = max(p for levels in fil.values() for p in levels)
+    dropped = rng.choice(sorted(fil))
+    return {n: {p - hi - 1: s for p, s in levels.items()}
+            for n, levels in fil.items() if n != dropped}
+
+
+def _filtration_error(build):
+    try:
+        build()
+    except FiltrationError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("fault,message", [
+    (None, None), ("nested", "not decreasing"), ("exhaustive", "not exhaustive"),
+    ("bounded", "not bounded"), ("leak", "does not respect")])
+def test_construction_matches_per_level_oracle(fault, message):
+    # one fault injected into seeded random complexes: construction raises
+    # what the per-level check raises, degree and level included
+    inject = {"nested": grow_one_level, "exhaustive": shrink_bottom, "bounded": lift_top}
+    rng = random.Random(f"validate:{fault}")
+    checked = 0
+    for _ in range(30):
+        gc, fil = random_filtered_complex(rng, leak=fault == "leak")
+        if fault in inject:
+            fil = inject[fault](rng, gc, fil)
+            if fil is None:
+                continue
+        want = _filtration_error(lambda: oracle_validate(gc, fil))
+        assert _filtration_error(lambda: FilteredComplex(gc, fil)) == want
+        if message is None:
+            assert want is None
+            assert total_cohomology_dims(FilteredComplex(gc, fil)) == {
+                n: gc.cohomology_dim(n) for n in gc.degrees() if gc.cohomology_dim(n)}
+        else:
+            assert message in want
+        checked += 1
+    assert checked >= 20
