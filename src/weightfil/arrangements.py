@@ -8,11 +8,12 @@ the long exact sequence split), and the Moebius function of the intersection
 lattice (all subspaces of F_q^(r+1)); the Betti vector carries Frobenius
 q^m on degree m.  The recursion traces a normal on a hyperplane with one
 table lookup pair per coordinate; the Moebius route keys its incidences by
-projective points, generated from RREF rows, and sums mu over the supersets
-of a subspace by one popcount per distinct mu value.  A lattice of more than
-LATTICE_BUDGET subspaces is refused before anything is enumerated.  Blow-up
-Poincare polynomials live in even degrees with Frobenius q^(m/2) on degree
-m and are validated against a direct point count over F_{q^s}.
+packed projective points (`galois.PackedSpace`) and sums mu over the
+supersets of a subspace by one popcount per distinct mu value.  A lattice
+of more than LATTICE_BUDGET subspaces is refused before anything is
+enumerated.  Blow-up Poincare polynomials live in even degrees with
+Frobenius q^(m/2) on degree m and are validated against a direct point
+count over F_{q^s}.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import product
 
 from .drinfeld import gaussian_binomial
 from .errors import CrossCheckError, EnumerationBudgetError, PreconditionError
-from .galois import GF, enumerate_subspaces, factor_prime_power
+from .galois import GF, PackedSpace, enumerate_subspaces, factor_prime_power
 
 # the most subspaces of F_q^(r+1) the two routes may enumerate; the largest
 # benchmark case, r = 5 over F_2, has 2,825
@@ -37,29 +38,12 @@ def _normalize(gf: GF, vec: tuple):
     return tuple(map(gf.mul_table[gf.inv(lead)].__getitem__, vec))
 
 
-def _projective_points(gf: GF, rows: tuple) -> list:
-    """The normalized nonzero vectors of the span of the RREF rows, each
-    once: one leading row plus any combination of the rows below it."""
-    add, mul = gf.add_table, gf.mul_table
-    points = []
-    below = [(0,) * len(rows[0])] if rows else []  # span of the rows below
-    for i in range(len(rows) - 1, -1, -1):
-        # c row_i + v, v in below: c = 1 gives the points led by row i and
-        # all c give span(rows[i:]); lanes[j] is the add-table row of c row_ij
-        cs = range(1, gf.q) if i else (1,)
-        shifted = [tuple(map(list.__getitem__, lanes, v))
-                   for lanes in ([add[mul[c][x]] for x in rows[i]] for c in cs)
-                   for v in below]
-        points += shifted[:len(below)]
-        below += shifted
-    return points
-
-
 def all_hyperplane_normals(gf: GF, n: int) -> list:
     """All hyperplanes of P^(n-1) over F_q, as normalized normal vectors:
     the projective points of F_q^n."""
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return sorted(_projective_points(gf, identity))
+    space = PackedSpace(gf, n)
+    return sorted(map(space.unpack, space.points(identity)))
 
 
 def _trace_arrangement(gf: GF, normals: frozenset, h: tuple) -> frozenset:
@@ -118,27 +102,26 @@ def _mobius_betti(gf: GF, r: int) -> tuple:
     Moebius function of the intersection lattice (all subspaces of
     F_q^(r+1)); the projective answer divides the cone polynomial by 1+u."""
     n = r + 1
-    # subspaces in order of codimension; contains[x] is the bitmask of the
-    # indices of the subspaces containing the projective point x
-    bases = []
+    # subspaces in order of codimension, one bit each; contains[x] is the
+    # bitmask of those so far containing the packed projective point x
+    space = PackedSpace(gf, n)
     contains = {}
-    for k in range(n, -1, -1):
-        for rows in enumerate_subspaces(gf, n, k):
-            bit = 1 << len(bases)
-            bases.append((n - k, rows))
-            for x in _projective_points(gf, rows):
-                contains[x] = contains.get(x, 0) | bit
     by_mu = {}  # mu value -> bitmask of the subspaces with that value
     whitney = [0] * (n + 1)
-    for i, (codim, rows) in enumerate(bases):
-        # the strict supersets of subspace i all come before it
-        sup = (1 << i) - 1
-        for x in rows:
-            sup &= contains[x]
-        mu = 1 if codim == 0 else -sum(m * (sup & mask).bit_count()
+    bit = 1
+    for k in range(n, -1, -1):
+        for rows in enumerate_subspaces(gf, n, k):
+            # the strict supersets of this subspace all come before it
+            sup = bit - 1
+            for r in rows:
+                sup &= contains.get(space.pack(r), 0)
+            mu = 1 if k == n else -sum(m * (sup & mask).bit_count()
                                        for m, mask in by_mu.items())
-        by_mu[mu] = by_mu.get(mu, 0) | 1 << i
-        whitney[codim] += abs(mu)
+            by_mu[mu] = by_mu.get(mu, 0) | bit
+            whitney[n - k] += abs(mu)
+            for x in space.points(rows):
+                contains[x] = contains.get(x, 0) | bit
+            bit <<= 1
     # divide sum |mu| u^codim (degree n) by 1 + u
     quot = [0] * n
     quot[n - 1] = whitney[n]

@@ -6,16 +6,16 @@ representative is the unique primitive integral lattice in the class
 (contained in Z^(d+1), not contained in p Z^(d+1)), stored as the Hermite
 normal form of a basis matrix.  Two vertices are adjacent iff they have
 representatives L' with p L < L' < L; the neighbors of a vertex therefore
-correspond to the nonzero proper F_p-subspaces of L / pL.
+correspond to the nonzero proper F_p-subspaces W of L / pL, each one the
+triangular product of a lift of W and the HNF, reduced above its pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import EnumerationBudgetError, PreconditionError
-from .galois import GF, enumerate_subspaces, factor_prime_power, gf_span_vectors, is_prime
+from .galois import GF, PackedSpace, enumerate_subspaces, factor_prime_power, is_prime
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -62,14 +62,20 @@ def hnf(rows: list) -> tuple:
     m = m[:r]
     if len(m) != n:
         raise PreconditionError("matrix rows do not span a full lattice")
-    # reduce entries above the pivots, left to right: row i is zero left of
-    # its pivot (column i), so it leaves the columns already reduced alone
-    for i in range(n):
+    return _reduce_above_pivots(m)
+
+
+def _reduce_above_pivots(m: list) -> tuple:
+    """HNF of the upper triangular m with a positive diagonal: reduce above
+    each pivot into [0, pivot), left to right.  Row i is zero left of its
+    pivot (column i), so it leaves the columns already reduced alone."""
+    for i, row in enumerate(m):
+        piv = row[i]
         for k in range(i):
-            f = m[k][i] // m[i][i]
+            f = m[k][i] // piv
             if f:
-                m[k] = [a - f * b for a, b in zip(m[k], m[i])]
-    return tuple(tuple(row) for row in m)
+                m[k] = [a - f * b for a, b in zip(m[k], row)]
+    return tuple(map(tuple, m))
 
 
 @dataclass(frozen=True)
@@ -106,23 +112,37 @@ def _subspace_lifts(gf: GF, n: int) -> tuple:
     """The nonzero proper subspaces W of F_p^n as RREF bases, by increasing
     dimension, and for each one a square integer basis M_W of
     {x in Z^n : x mod p in W}: the rows of W plus p e_j for each non-pivot
-    column j.  The neighbour of rowspace(B) for W is rowspace(M_W B)."""
+    column j.  Sorted by leading column, M_W is upper triangular with 1 or p
+    on the diagonal; row j is stored as that entry and the nonzero (column,
+    entry) pairs right of it.  The neighbour of rowspace(B) is rowspace(M_W B)."""
     p = gf.p
     subs = [rows for s in range(1, n) for rows in enumerate_subspaces(gf, n, s)]
     lifts = []
     for sub_rows in subs:
-        pivots = {r.index(1) for r in sub_rows}
-        lifts.append([list(r) for r in sub_rows]
-                     + [[p if i == j else 0 for i in range(n)]
-                        for j in range(n) if j not in pivots])
+        lead = {r.index(1): r for r in sub_rows}
+        lifts.append([(1, [(i, c) for i, c in enumerate(lead[j]) if c and i > j])
+                      if j in lead else (p, []) for j in range(n)])
     return subs, lifts
 
 
 def _neighbors(v: LatticeClass, p: int, lifts: list) -> list:
-    """The neighbours of v in lift order: entry a comes from lifts[a]."""
-    cols = list(zip(*v.rep))
-    return [LatticeClass.from_rows([[sum(map(mul, w, c)) for c in cols] for w in m], p)
-            for m in lifts]
+    """The neighbours of v in lift order: entry a comes from lifts[a].  Like
+    the HNF v.rep, M_W v.rep is upper triangular with a positive diagonal,
+    so reducing above its pivots gives its HNF, and dividing by p keeps it."""
+    rep = v.rep
+    out = []
+    for m in lifts:
+        mat = []
+        for row, (c, terms) in zip(rep, m):
+            row = [c * x for x in row]
+            for i, c in terms:
+                row = [a + c * x for a, x in zip(row, rep[i])]
+            mat.append(row)
+        mat = _reduce_above_pivots(mat)
+        while all(x % p == 0 for row in mat for x in row):
+            mat = tuple(tuple(x // p for x in row) for row in mat)
+        out.append(LatticeClass(mat, p))
+    return out
 
 
 def vertex_neighbors(v: LatticeClass, p: int, d: int) -> list:
@@ -133,10 +153,12 @@ def vertex_neighbors(v: LatticeClass, p: int, d: int) -> list:
 
 
 def _flag_pairs(gf: GF, subs: list, n: int) -> list:
-    """The pairs (a, b) with subs[a] a proper subspace of subs[b] in F_p^n."""
-    spans = [set(gf_span_vectors(gf, rows, n)) for rows in subs]
-    return [(a, b) for b, span in enumerate(spans) for a, rows in enumerate(subs)
-            if len(rows) < len(subs[b]) and all(r in span for r in rows)]
+    """The pairs (a, b) with subs[a] a proper subspace of subs[b] in F_p^n:
+    every RREF row of subs[a] is a projective point of subs[b]."""
+    space = PackedSpace(gf, n)
+    points = [set(space.points(sub)) for sub in subs]
+    return [(a, b) for b, pts in enumerate(points) for a, sub in enumerate(subs)
+            if len(sub) < len(subs[b]) and all(space.pack(r) in pts for r in sub)]
 
 
 @dataclass
@@ -160,9 +182,6 @@ class BuildingBall:
         """The edges, as frozensets {i, j} of vertex indices."""
         return {frozenset((i, j)) for i, nb in enumerate(self.edge_dim)
                 for j in nb if i < j}
-
-    def neighbors_in_ball(self, i: int) -> list:
-        return sorted(self.edge_dim[i])
 
 
 def ball(center: LatticeClass, n: int, p: int, d: int,

@@ -357,11 +357,6 @@ def image(m: QMatrix) -> Subspace:
     return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
 
 
-def rank(m: QMatrix) -> int:
-    red, _ = _rref(m.row_list())
-    return len(red)
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -483,13 +478,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         return Polynomial(tuple(cs))
-
-    @staticmethod
-    def from_roots(roots: Sequence) -> "Polynomial":
-        out = Polynomial.from_coeffs([1])
-        for r in roots:
-            out = out * Polynomial.from_coeffs([-rat(r), 1])
-        return out
 
     @property
     def degree(self) -> int:

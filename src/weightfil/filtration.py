@@ -160,9 +160,6 @@ class IndexedFiltration:
         amb = stepped[0][1].ambient_dim if stepped else 0
         return IndexedFiltration.make(amb, self.orientation, dict(stepped))
 
-    def to_json(self) -> dict:
-        return {rat_str(k): s.to_strings() for k, s in self.normalized().steps}
-
 
 def graded_dims_to_json(g: dict) -> dict:
     return {rat_str(rat(k)): v for k, v in sorted(g.items(), key=lambda kv: rat(kv[0]))}

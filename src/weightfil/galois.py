@@ -10,7 +10,9 @@ splitting (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
 Elements of F_q, q = p^k, are integers 0..q-1 encoding polynomial
 coefficient vectors over F_p in base p, with table-based arithmetic.
 Intended for the desk-scale counting in the arrangement and building
-modules: `GF` refuses q above `GF_MAX_Q` before building any table."""
+modules: `GF` refuses q above `GF_MAX_Q` before building any table.
+`PackedSpace` packs those digit vectors into integer lanes, to add vectors
+of F_q^n and list the projective points of a span."""
 
 from __future__ import annotations
 
@@ -265,17 +267,6 @@ class GF:
         return out
 
 
-def gf_span_vectors(gf: GF, basis: list, n: int) -> list:
-    """All vectors in the span of the given basis rows."""
-    span = [(0,) * n]
-    add = gf.add_table
-    for row in basis:
-        multiples = [[gf.mul(c, x) for x in row] for c in range(1, gf.q)]
-        span += [tuple(add[a][b] for a, b in zip(v, m))
-                 for m in multiples for v in span]
-    return sorted(set(span))
-
-
 def enumerate_subspaces(gf: GF, n: int, k: int) -> list:
     """All k-dimensional subspaces of F_q^n as canonical RREF bases."""
     from itertools import combinations
@@ -296,3 +287,51 @@ def enumerate_subspaces(gf: GF, n: int, k: int) -> list:
                 rows[i][c] = vals[idx]
             out.append(tuple(tuple(r) for r in rows))
     return out
+
+
+class PackedSpace:
+    """Vectors of F_q^n, q = p^k, packed into one integer: the base-p digits
+    of the element codes fill n k lanes of w = p.bit_length() + 1 bits, so
+    one add and a lane-wise reduction by p add two vectors (SWAR, "SIMD
+    within a register", Fisher & Dietz, LCPC 1998).  Packed codes are
+    canonical.  Scaling is not lane-wise when k > 1: the multiples of a row
+    come from the mul table, once per row and instance."""
+
+    def __init__(self, gf: GF, n: int):
+        w = gf.p.bit_length() + 1
+        ones = sum(1 << w * t for t in range(n * gf.k))
+        self.gf, self.n, self.width = gf, n, w * gf.k  # bits per coordinate
+        self._spread = [sum(d << w * t for t, d in enumerate(ds)) for ds in gf._dig]
+        self._code = {s: x for x, s in enumerate(self._spread)}
+        self._reduce = (ones * ((1 << w - 1) - gf.p), w - 1, ones)
+        self._multiples = {}
+
+    def pack(self, vec) -> int:
+        out = 0
+        for x in reversed(vec):
+            out = out << self.width | self._spread[x]
+        return out
+
+    def unpack(self, code: int) -> tuple:
+        mask = (1 << self.width) - 1
+        return tuple(self._code[code >> self.width * i & mask] for i in range(self.n))
+
+    def points(self, rows: tuple) -> list:
+        """The projective points of the span of the RREF rows, packed, each
+        once: one leading row plus any combination of the rows below it."""
+        bias, shift, ones = self._reduce
+        p, mul, memo = self.gf.p, self.gf.mul_table, self._multiples
+        points = []
+        below = [0]  # span of the rows below
+        for i in range(len(rows) - 1, -1, -1):
+            if rows[i] not in memo:  # the packed c row_i, c = 1, ..., q - 1
+                memo[rows[i]] = [self.pack([mul[c][x] for x in rows[i]])
+                                 for c in range(1, self.gf.q)]
+            # c row_i + v, v in below: c = 1 gives the points led by row i
+            # and all c give span(rows[i:])
+            cs = memo[rows[i]] if i else memo[rows[i]][:1]
+            shifted = [s - ((s + bias) >> shift & ones) * p
+                       for m in cs for v in below for s in (m + v,)]
+            points += shifted[:len(below)]
+            below += shifted
+        return points

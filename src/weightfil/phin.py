@@ -583,11 +583,6 @@ def monodromy_weight_check(D: PhiNModule) -> bool:
     return monodromy_filtration(D).same_filtration(weight_filtration(D))
 
 
-def monodromy_weight_diff(D: PhiNModule) -> list:
-    """Step-level differences [(r, dim M_r, dim P_r)]."""
-    return monodromy_filtration(D).step_diff(weight_filtration(D))
-
-
 @dataclass(frozen=True)
 class ReducedModuleReport:
     """Per-clause outcome of the checks on Dbar = D/C.

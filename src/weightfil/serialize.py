@@ -23,10 +23,21 @@ SUBSET_SEP = ","
 # an optional sign, decimal digits and an optional /denominator
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 ARROW = "->"
-# the most dimensions the spaces of one filtered complex may add up to:
-# construction keeps a dense adapted basis of every degree, so its memory and
-# time grow with the square of a dimension that costs a few input bytes
+# the most dimensions a filtered complex, or ss-cech's flag complex, may add
+# up to: construction keeps a dense adapted basis of every degree, so memory
+# and time grow with the square of a dimension that costs a few input bytes
 MAX_COMPLEX_DIM = 256
+# the same for an ss-steenbrink datum's total complex, whose monodromy and
+# weight filtrations cost more: at 64, one level-2 stratum takes about 1.6 s
+MAX_STEENBRINK_DIM = 64
+# ss-cech's flag complex holds H^*(M_J) once per chain of nonempty sets ending
+# at J, i.e. per ordered partition of J; a 5-set's 541 pass the cap already
+_CHAINS = (0, 1, 3, 13, 75, 541)
+
+
+def _check_dim(size: int, cap: int, what: str):
+    if size > cap:
+        raise EnumerationBudgetError(f"{what} of total dimension {size} exceed the cap of {cap}")
 
 
 def _require_keys(obj: dict, required: set, optional: set, what: str):
@@ -152,6 +163,8 @@ def load_nerve(obj: dict) -> NerveDatum:
         j = _parse_subset(key, comps, "nerve strata")
         strata[j] = {s: _parse_int(v, f"strata[{key}][{s}]", 0)
                      for s, v in _int_items(dims, f"nerve strata[{key}]")}
+    _check_dim(sum(_CHAINS[min(len(j), 5)] * sum(d.values()) for j, d in strata.items()),
+               MAX_COMPLEX_DIM, "nerve strata")
     weights = None
     if "weights" in obj:
         weights = {s: _parse_int(w, "weights", None)
@@ -190,6 +203,11 @@ def load_steenbrink(obj: dict) -> SteenbrinkDatum:
             raise SchemaError(f"steenbrink dims: unknown stratum {nm!r}")
         dims[nm] = {m: _parse_int(v, f"dims[{nm}][{m}]", 0)
                     for m, v in _int_items(degs, f"steenbrink dims[{nm}]")}
+    # the total complex holds H^m (m >= 0) of a level-t stratum in t summands;
+    # its layout loops over the levels, so an empty stratum counts as 1
+    _check_dim(sum(t * max(1, sum(v for m, v in dims.get(nm, {}).items() if m >= 0))
+                   for t, lst in levels.items() if t > 0 for nm in lst),
+               MAX_STEENBRINK_DIM, "steenbrink strata")
 
     def parse_maps(section, degree_shift):
         out = {}
@@ -220,9 +238,7 @@ def load_filtered_complex(obj: dict) -> FilteredComplex:
     _check_schema(obj, "filtered complex")
     spaces = {n: _parse_int(v, f"spaces[{n}]", 0)
               for n, v in _int_items(obj["spaces"], "spaces")}
-    if sum(spaces.values()) > MAX_COMPLEX_DIM:
-        raise EnumerationBudgetError(f"spaces of total dimension {sum(spaces.values())} "
-                                     f"exceed the cap of {MAX_COMPLEX_DIM}")
+    _check_dim(sum(spaces.values()), MAX_COMPLEX_DIM, "spaces")
     diffs = {}
     for n, rows in _int_items(obj.get("differentials", {}), "differentials"):
         shape = (spaces.get(n + 1, 0), spaces.get(n, 0))

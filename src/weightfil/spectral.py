@@ -232,13 +232,6 @@ class Page:
     def entry(self, p: int, q: int) -> int:
         return self.entries.get((p, q), 0)
 
-    def is_degenerate(self) -> bool:
-        return all(m.is_zero() for m in self.differentials.values())
-
-    def euler_characteristic(self) -> int:
-        return sum((1 if (p + q) % 2 == 0 else -1) * d
-                   for (p, q), d in self.entries.items())
-
 
 def _pairing(levels: dict, cols: dict) -> list:
     """The persistence pairing [(n, i, j, r)] of d in adapted bases.

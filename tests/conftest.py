@@ -1,10 +1,41 @@
 import random
 from fractions import Fraction
 
-from weightfil.exact_linalg import QMatrix, QuotientMap, Subspace
+from weightfil.exact_linalg import (Polynomial, QMatrix, QuotientMap, Subspace, _rref, rat,
+                                    rat_str)
 from weightfil.filtration import DECREASING, IndexedFiltration
 from weightfil.nerve import NerveDatum
-from weightfil.phin import PhiNModule
+from weightfil.phin import PhiNModule, monodromy_filtration, weight_filtration
+
+
+def rank(m: QMatrix) -> int:
+    red, _ = _rref(m.row_list())
+    return len(red)
+
+
+def monodromy_weight_diff(D: PhiNModule) -> list:
+    """Step-level differences [(r, dim M_r, dim P_r)]."""
+    return monodromy_filtration(D).step_diff(weight_filtration(D))
+
+
+def from_roots(roots) -> Polynomial:
+    """The monic polynomial with the given roots."""
+    out = Polynomial.from_coeffs([1])
+    for r in roots:
+        out = out * Polynomial.from_coeffs([-rat(r), 1])
+    return out
+
+
+def filtration_json(fl) -> dict:
+    return {rat_str(k): s.to_strings() for k, s in fl.normalized().steps}
+
+
+def is_degenerate(page) -> bool:
+    return all(m.is_zero() for m in page.differentials.values())
+
+
+def euler_characteristic(page) -> int:
+    return sum((-1) ** (p + q) * d for (p, q), d in page.entries.items())
 
 
 def qm(rows):

@@ -20,14 +20,13 @@ from weightfil.filtration import DECREASING, IndexedFiltration
 from weightfil.nerve import cech_complex, cech_vs_total_check
 from weightfil.phin import (PhiNModule, is_ordinary, is_weakly_admissible,
                             kernel_image_collapse, monodromy_filtration,
-                            monodromy_weight_check, monodromy_weight_diff,
-                            reduced_module_check)
+                            monodromy_weight_check, reduced_module_check)
 from weightfil.spectral import (abutment_labels, degeneration_page,
                                 equivariant_degeneration_check,
                                 total_cohomology_dims)
 from weightfil.steenbrink import analyze_steenbrink, cycle_datum
 
-from conftest import (conjugate, jordan_nilpotent, mk_module, qm,
+from conftest import (conjugate, jordan_nilpotent, mk_module, monodromy_weight_diff, qm,
                       random_functorial_nerve, random_invertible, sub,
                       tate_curve_module, tate_module)
 

@@ -4,12 +4,42 @@ from itertools import product
 import pytest
 
 from weightfil.arrangements import (_dot, _gysin_betti, _mobius_betti, _normalize,
-                                    _projective_points, _trace_arrangement,
-                                    all_hyperplane_normals, blowup_poincare,
-                                    point_count_oracle,
+                                    _trace_arrangement, all_hyperplane_normals,
+                                    blowup_poincare, point_count_oracle,
                                     rational_arrangement_poincare)
 from weightfil.errors import PreconditionError
-from weightfil.galois import GF, enumerate_subspaces, gf_span_vectors
+from weightfil.galois import GF, PackedSpace, enumerate_subspaces
+
+
+def gf_span_vectors(gf, basis, n):
+    """All vectors in the span of the given basis rows: the span builder
+    the building's flag pairs used before packed projective points."""
+    span = [(0,) * n]
+    add = gf.add_table
+    for row in basis:
+        multiples = [[gf.mul(c, x) for x in row] for c in range(1, gf.q)]
+        span += [tuple(add[a][b] for a, b in zip(v, m))
+                 for m in multiples for v in span]
+    return sorted(set(span))
+
+
+def _projective_points(gf, rows):
+    """The normalized nonzero vectors of the span of the RREF rows as
+    tuples, each once: the generator the Moebius route used before packed
+    points.  One leading row plus any combination of the rows below it."""
+    add, mul = gf.add_table, gf.mul_table
+    points = []
+    below = [(0,) * len(rows[0])] if rows else []  # span of the rows below
+    for i in range(len(rows) - 1, -1, -1):
+        # c row_i + v, v in below: c = 1 gives the points led by row i and
+        # all c give span(rows[i:]); lanes[j] is the add-table row of c row_ij
+        cs = range(1, gf.q) if i else (1,)
+        shifted = [tuple(map(list.__getitem__, lanes, v))
+                   for lanes in ([add[mul[c][x]] for x in rows[i]] for c in cs)
+                   for v in below]
+        points += shifted[:len(below)]
+        below += shifted
+    return points
 
 
 def _span_oracle(gf, basis, n):
@@ -163,6 +193,21 @@ def test_projective_points_are_the_normalized_span():
                     span = {_normalize(gf, v) for v in gf_span_vectors(gf, rows, n)}
                     span.discard(None)
                     assert set(points) == span, (q, rows)
+
+
+def test_packed_points_match_tuple_oracle():
+    # q = 251 has the widest lanes (9 bits), q = 256 the most lanes per
+    # element (8); small n keeps the large fields quick
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 251, 256):
+        gf = GF(q)
+        for n in range(1, 5 if q < 10 else 3):
+            space = PackedSpace(gf, n)
+            for k in range(n + 1):
+                subs = enumerate_subspaces(gf, n, k)
+                for rows in subs if len(subs) < 300 else random.Random(q).sample(subs, 300):
+                    packed = space.points(rows)
+                    assert [space.unpack(x) for x in packed] == _projective_points(gf, rows)
+                    assert all(space.pack(space.unpack(x)) == x for x in packed)
 
 
 def test_trace_matches_basis_dot_oracle():

@@ -348,6 +348,32 @@ def test_filtered_complex_dimension_cap(tmp_path, spaces, code):
     assert (b"cap of 256" in res.stderr) == bool(code), res.stderr
 
 
+@pytest.mark.parametrize("cmd,payload,cap", [
+    ("ss-steenbrink", {"schema": 1, "d": 1, "levels": {"1": ["c"]},
+                       "dims": {"c": {"0": 1000}}}, b"cap of 64"),
+    # a level-2 stratum fills two summands per degree
+    ("ss-steenbrink", {"schema": 1, "d": 1, "levels": {"2": ["c"]},
+                       "dims": {"c": {"0": 33}}}, b"cap of 64"),
+    ("ss-steenbrink", {"schema": 1, "d": 1, "levels": {"1000": ["c"]},
+                       "dims": {"c": {}}}, b"cap of 64"),
+    ("ss-steenbrink", {"schema": 1, "d": 1, "levels": {"1": ["c"]},
+                       "dims": {"c": {"0": 64}}}, None),
+    ("ss-cech", {"schema": 1, "components": ["a"], "strata": {"a": {"0": 1000}}},
+     b"cap of 256"),
+    # the flag complex holds a four-fold stratum once per each of 75 chains
+    ("ss-cech", {"schema": 1, "components": list("abcd"),
+                 "strata": {"a,b,c,d": {"0": 4}}}, b"cap of 256"),
+    ("ss-cech", {"schema": 1, "components": ["a"], "strata": {"a": {"0": 256}}}, None)],
+    ids=["steenbrink_one_stratum", "steenbrink_level_two", "steenbrink_deep_level",
+         "steenbrink_at_cap", "cech_one_stratum", "cech_flags", "cech_at_cap"])
+def test_strata_dimension_caps(tmp_path, cmd, payload, cap):
+    # a dimension costs a few input bytes: the size of the complex built from
+    # the strata is refused before any matrix is built, and each cap fits
+    res = _run_cli_bounded([cmd, str(write(tmp_path, "d.json", payload))])
+    assert res.returncode == (2 if cap else 0), res.stderr
+    assert cap is None or cap in res.stderr, res.stderr
+
+
 def test_drinfeld_ball_rejects_d_below_one():
     for d in ("-1", "0"):
         res = run_cli(["drinfeld-ball", "--d", d, "--p", "2", "--n", "3"])

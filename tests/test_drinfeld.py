@@ -7,9 +7,9 @@ import pytest
 
 from weightfil import drinfeld
 from weightfil.errors import EnumerationBudgetError, PreconditionError
-from weightfil.drinfeld import (LatticeClass, SimplexType, ball, gaussian_binomial, hnf,
-                                simplices_through_vertex, stratum_type, v_n_m,
-                                vertex_neighbors)
+from weightfil.drinfeld import (LatticeClass, SimplexType, _neighbors, _subspace_lifts,
+                                ball, gaussian_binomial, hnf, simplices_through_vertex,
+                                stratum_type, v_n_m, vertex_neighbors)
 from weightfil.exact_linalg import QMatrix, inverse
 from weightfil.galois import GF, enumerate_subspaces
 
@@ -46,6 +46,28 @@ def _vertex_neighbors_oracle(v, p, d):
             lc = LatticeClass(hnf(mat), p)
             out[lc.rep] = lc
     return sorted(out.values(), key=LatticeClass.sort_key)
+
+
+def neighbors_in_ball(b, i):
+    """The indices of the neighbours of vertex i inside the ball b."""
+    return sorted(b.edge_dim[i])
+
+
+def _neighbors_product_oracle(v, p, d):
+    """The neighbour route before triangular lifts: the full integer product
+    of each lift basis (the rows of W plus p e_j per non-pivot column j)
+    with v's basis, reduced by a general HNF and divided by p, in lift
+    order."""
+    n = d + 1
+    out = []
+    for s in range(1, n):
+        for sub_rows in enumerate_subspaces(GF(p), n, s):
+            pivots = {r.index(1) for r in sub_rows}
+            lift = [list(r) for r in sub_rows] + [[p if i == j else 0 for i in range(n)]
+                                                  for j in range(n) if j not in pivots]
+            out.append(LatticeClass.from_rows(
+                [[sum(a * b for a, b in zip(w, c)) for c in zip(*v.rep)] for w in lift], p))
+    return out
 
 
 def oracle_ball_adjacency(center, n, p, d):
@@ -189,6 +211,14 @@ def test_neighbors_match_two_hnf_oracle():
             assert vertex_neighbors(v, p, d) == _vertex_neighbors_oracle(v, p, d)
 
 
+@pytest.mark.parametrize("d,p,n", [(1, 2, 4), (1, 3, 3), (1, 7, 2), (2, 2, 2),
+                                   (2, 3, 1), (3, 2, 1), (2, 5, 1)])
+def test_triangular_neighbors_match_product_oracle(d, p, n):
+    lifts = _subspace_lifts(GF(p), d + 1)[1]
+    for v in ball(LatticeClass.base(d, p), n, p, d).vertices:
+        assert _neighbors(v, p, lifts) == _neighbors_product_oracle(v, p, d), v
+
+
 def test_ball_d3_reps_canonical_and_distinct():
     # a non-canonical hnf listed two classes of this ball twice (1,918
     # vertices, 15,704 edges)
@@ -269,20 +299,20 @@ def test_ball_matches_oracle_adjacency(d, p, n):
     for i, j in map(tuple, adjacency):
         nbrs[i].append(j)
         nbrs[j].append(i)
-    assert all(b.neighbors_in_ball(i) == sorted(js) for i, js in nbrs.items())
+    assert all(neighbors_in_ball(b, i) == sorted(js) for i, js in nbrs.items())
 
 
 def test_ball_computes_neighbours_inside_radius_only(monkeypatch):
-    # 66 vertices inside radius 2, 65 lifts each; the full-neighbour pass
-    # makes 124,540 hnf calls
+    # 66 vertices inside radius 2, 65 lifts each, one reduction per lift;
+    # the full-neighbour pass makes 124,540
     calls = []
-    real = drinfeld.hnf
+    real = drinfeld._reduce_above_pivots
 
     def counted(rows):
         calls.append(1)
         return real(rows)
 
-    monkeypatch.setattr(drinfeld, "hnf", counted)
+    monkeypatch.setattr(drinfeld, "_reduce_above_pivots", counted)
     b = ball(LatticeClass.base(3, 2), 2, 2, 3)
     assert len(b.vertices) == 1916
     assert len(calls) <= 66 * 65
@@ -304,7 +334,7 @@ def test_ball_edge_dims_match_oracle(d, p, n):
             want = [v for i, v in enumerate(b.vertices) if b.distance[i] <= r]
             want += [v for i, v in enumerate(b.vertices) if b.distance[i] == r + 1
                      and any(b.distance[j] <= r and oracle_adjacency_subspace_dim(
-                         b.vertices[j], v, p) <= m for j in b.neighbors_in_ball(i))]
+                         b.vertices[j], v, p) <= m for j in neighbors_in_ball(b, i))]
             assert v_n_m(b, r, m) == sorted(want, key=LatticeClass.sort_key)
 
 

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 from weightfil.errors import PreconditionError
 from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, _good_prime, _rref,
                                     char_poly, extend_basis, factor_rational_poly, image,
-                                    kernel, newton_polygon, rank, rat, rat_str,
+                                    kernel, newton_polygon, rat, rat_str,
                                     subspace_intersect, subspace_sum)
 from weightfil.galois import factor_mod_p
 
-from conftest import qm, sub
+from conftest import from_roots, qm, sub
 
 
 def test_rat_roundtrip():
@@ -75,7 +75,7 @@ def test_char_poly_identity():
 def test_char_poly_diagonal():
     q = 5
     assert char_poly(qm([[1, 0], [0, q]])) == \
-        Polynomial.from_roots([1, q])
+        from_roots([1, q])
 
 
 def test_char_poly_companion():
@@ -103,18 +103,18 @@ def test_char_poly_det_trace():
 
 def test_newton_polygon_two_slopes():
     p = 2
-    np_ = newton_polygon(Polynomial.from_roots([1, p]), p)
+    np_ = newton_polygon(from_roots([1, p]), p)
     assert np_.segments == ((Fraction(0), 1), (Fraction(1), 1))
 
 
 def test_newton_polygon_unit_roots():
-    np_ = newton_polygon(Polynomial.from_roots([1] * 5), 3)
+    np_ = newton_polygon(from_roots([1] * 5), 3)
     assert np_.segments == ((Fraction(0), 5),)
 
 
 def test_newton_polygon_high_slopes():
     p = 3
-    np_ = newton_polygon(Polynomial.from_roots([p * p, p]), p)
+    np_ = newton_polygon(from_roots([p * p, p]), p)
     assert np_.segments == ((Fraction(1), 1), (Fraction(2), 1))
 
 
@@ -126,7 +126,7 @@ def test_newton_polygon_zero_constant_term():
 def test_newton_polygon_q_units():
     # q = p^2: valuations measured in v_q units
     p = 2
-    np_ = newton_polygon(Polynomial.from_roots([4, 2]), p, a=2)
+    np_ = newton_polygon(from_roots([4, 2]), p, a=2)
     assert np_.segments == ((Fraction(1, 2), 1), (Fraction(1), 1))
 
 
@@ -172,7 +172,7 @@ def test_polygon_of_linear_factor_products():
         ks = sorted(rng.randint(0, 3) for _ in range(rng.randint(1, 5)))
         units = [rng.choice([1, 2, -1, -2, 4]) for _ in ks]
         roots = [u * p ** k for u, k in zip(units, ks)]
-        np_ = newton_polygon(Polynomial.from_roots(roots), p)
+        np_ = newton_polygon(from_roots(roots), p)
         got = []
         for s, l in np_.segments:
             got.extend([s] * l)

@@ -7,7 +7,7 @@ from weightfil.errors import FiltrationError
 from weightfil.exact_linalg import Subspace
 from weightfil.filtration import DECREASING, INCREASING, IndexedFiltration
 
-from conftest import sub
+from conftest import filtration_json, sub
 from test_cli import TATE_CURVE
 
 
@@ -74,7 +74,7 @@ def test_fractional_indices():
 def test_json_roundtrip_shape():
     fl = IndexedFiltration.make(2, DECREASING, {
         0: Subspace.full(2), 1: sub(2, [[1, 0]])})
-    js = fl.to_json()
+    js = filtration_json(fl)
     assert js == {"0": [["1", "0"], ["0", "1"]], "1": [["1", "0"]]}
 
 

@@ -19,12 +19,12 @@ from weightfil.phin import (PhiNModule, _n_chain, _sampled_candidates, _stable_l
                             image_filtration, is_ordinary, is_weakly_admissible,
                             kernel_filtration, kernel_image_collapse,
                             monodromy_filtration, monodromy_weight_check,
-                            monodromy_weight_diff, newton_numbers,
+                            newton_numbers,
                             reduced_module_check, slope_filtration, t_numbers,
                             validate, weight_filtration)
 from weightfil.serialize import load_phin
 
-from conftest import (conjugate, jordan_nilpotent, mk_module, qm,
+from conftest import (conjugate, jordan_nilpotent, mk_module, monodromy_weight_diff, qm,
                       random_invertible, random_nilpotent, sub, tate_curve_module,
                       tate_module)
 

@@ -4,6 +4,8 @@ from weightfil.errors import SchemaError
 from weightfil.serialize import (load_filtered_complex, load_nerve, load_phin,
                                  load_steenbrink)
 
+from conftest import filtration_json
+
 PHIN = {
     "schema": 1, "p": 2, "a": 1, "d": 1,
     "phi": [["1", "0"], ["0", "2"]],
@@ -16,7 +18,7 @@ def test_load_phin_roundtrip():
     D = load_phin(PHIN)
     assert D.dim == 2 and D.q == 2
     assert D.fil.at(1).dim == 1
-    assert D.fil.to_json() == {"0": [["1", "0"], ["0", "1"]], "1": [["1", "1"]]}
+    assert filtration_json(D.fil) == {"0": [["1", "0"], ["0", "1"]], "1": [["1", "1"]]}
 
 
 def test_unknown_keys_rejected():

@@ -1,5 +1,6 @@
 """Static checks on the package source: no private helper without a caller,
-and no import that is not used."""
+no public helper outside the package's exports without one, and no import
+that is not used."""
 
 import ast
 import pathlib
@@ -37,6 +38,21 @@ def test_every_private_definition_has_a_caller():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if not _private(node.name):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(node.name in _mentions(other, own) for other in MODULES.values()):
+                uncalled.append(f"{fname}: {node.name}")
+    assert uncalled == []
+
+
+def test_every_unexported_public_definition_has_a_caller():
+    exported = set(_mentions(MODULES["__init__.py"], set()))
+    uncalled = []
+    for fname, tree in MODULES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if _private(node.name) or node.name in exported:
                 continue
             own = {id(n) for n in ast.walk(node)}
             if not any(node.name in _mentions(other, own) for other in MODULES.values()):
