@@ -11,7 +11,7 @@ from .phin import (AdmissibilityReport, PhiNModule, cbar_quotient,
                    kernel_image_collapse, monodromy_filtration,
                    monodromy_weight_check, newton_numbers,
                    reduced_module_check, slope_filtration, t_numbers,
-                   validate, weight_filtration)
+                   weight_filtration)
 from .spectral import (FilteredComplex, GradedComplex, Page,
                        abutment_filtration, degeneration_page, e_page,
                        equivariant_degeneration_check, total_cohomology_dims)

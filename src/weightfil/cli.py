@@ -134,7 +134,6 @@ def _phin_analyze(D, args):
 
 
 def _phin_check_mw(D, args):
-    ph.validate(D)
     mfil = ph.monodromy_filtration(D)
     wfil = ph.weight_filtration(D)
     return {

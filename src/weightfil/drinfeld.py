@@ -285,17 +285,11 @@ class SimplexType:
 
     flag_signature: tuple
 
-    def validate(self, d: int) -> "SimplexType":
-        sig = self.flag_signature
-        if list(sig) != sorted(set(sig)) or (sig and not
-                                             (0 < sig[0] and sig[-1] < d + 1)):
-            raise PreconditionError("signature must be strictly increasing in (0, d+1)")
-        return self
-
 
 def stratum_type(sig: SimplexType, d: int) -> list:
     """Dimensions of the product factors of the stratum attached to a
     simplex type: the successive gaps of the flag signature, each minus 1."""
-    sig.validate(d)
     cuts = [0] + list(sig.flag_signature) + [d + 1]
+    if cuts != sorted(set(cuts)):
+        raise PreconditionError("signature must be strictly increasing in (0, d+1)")
     return [b - a - 1 for a, b in zip(cuts, cuts[1:])]

@@ -36,31 +36,29 @@ class IndexedFiltration:
     orientation: str
     steps: tuple  # sorted tuple of (Fraction index, Subspace)
 
+    def __post_init__(self):
+        self.validate()
+
     @staticmethod
     def make(ambient_dim: int, orientation: str, steps) -> "IndexedFiltration":
-        if orientation not in (DECREASING, INCREASING):
-            raise FiltrationError(f"unknown orientation {orientation!r}")
+        """The filtration of a sparse step map, completed by the full space
+        at its exhaustive end."""
         items = sorted(((rat(i), s) for i, s in dict(steps).items()),
                        key=lambda kv: kv[0])
-        for _, s in items:
-            if s.ambient_dim != ambient_dim:
-                raise FiltrationError("step ambient dimension mismatch")
         full = Subspace.full(ambient_dim)
-        if orientation == DECREASING:
-            if not items:
-                items = [(Fraction(0), full)]
-            if items[0][1] != full:
-                items.insert(0, (items[0][0] - 1, full))
-        else:
-            if not items:
-                items = [(Fraction(0), full)]
-            if items[-1][1] != full:
-                items.append((items[-1][0] + 1, full))
-        fl = IndexedFiltration(ambient_dim, orientation, tuple(items))
-        fl.validate()
-        return fl
+        if not items:
+            items = [(Fraction(0), full)]
+        if orientation == DECREASING and items[0][1] != full:
+            items.insert(0, (items[0][0] - 1, full))
+        elif orientation == INCREASING and items[-1][1] != full:
+            items.append((items[-1][0] + 1, full))
+        return IndexedFiltration(ambient_dim, orientation, tuple(items))
 
-    def validate(self) -> "IndexedFiltration":
+    def validate(self):
+        if self.orientation not in (DECREASING, INCREASING):
+            raise FiltrationError(f"unknown orientation {self.orientation!r}")
+        if any(s.ambient_dim != self.ambient_dim for _, s in self.steps):
+            raise FiltrationError("step ambient dimension mismatch")
         prev = None
         for _, s in self.steps:
             if prev is not None:
@@ -68,7 +66,6 @@ class IndexedFiltration:
                 if not big.contains(small):
                     raise FiltrationError("filtration is not monotone")
             prev = s
-        return self
 
     def at(self, i) -> Subspace:
         return self._values([rat(i)])[0]
@@ -116,23 +113,6 @@ class IndexedFiltration:
             if g:
                 out[k] = g
         return out
-
-    def normalized(self) -> "IndexedFiltration":
-        """Minimal step map with the same semantics."""
-        keep = []
-        n = len(self.steps)
-        for idx, (k, s) in enumerate(self.steps):
-            if self.orientation == DECREASING:
-                nxt = self.steps[idx + 1][1] if idx + 1 < n \
-                    else Subspace.zero(self.ambient_dim)
-                if s != nxt:
-                    keep.append((k, s))
-            else:
-                prv = self.steps[idx - 1][1] if idx > 0 \
-                    else Subspace.zero(self.ambient_dim)
-                if s != prv:
-                    keep.append((k, s))
-        return IndexedFiltration(self.ambient_dim, self.orientation, tuple(keep))
 
     def _union_keys(self, other: "IndexedFiltration") -> list:
         """The indices listed in either filtration, increasing, by one merge."""

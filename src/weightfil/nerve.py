@@ -93,7 +93,7 @@ class NerveDatum:
             cur = nxt
         return mat
 
-    def validate(self) -> "NerveDatum":
+    def validate(self):
         for (j1, j2), mats in self.restrictions.items():
             if not (j1 < j2 and len(j2) == len(j1) + 1):
                 raise SchemaError("restriction maps must join covering pairs")
@@ -114,7 +114,6 @@ class NerveDatum:
                         raise PreconditionError(
                             f"restriction maps are not functorial at {sorted(j)} + "
                             f"{x!r},{y!r} in degree {s}")
-        return self
 
 
 def cech_complex(nd: NerveDatum) -> FilteredComplex:
@@ -172,7 +171,7 @@ def flag_complex(nd: NerveDatum) -> GradedComplex:
                 # identity unless the top stratum grew
                 yield (flag2, s), nd.restriction(flag[-1], flag2[-1], s), sign
 
-    return total_complex(sums, blocks).validate()
+    return total_complex(sums, blocks)
 
 
 def cech_vs_total_check(nd: NerveDatum, fc: FilteredComplex) -> bool:

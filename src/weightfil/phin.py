@@ -20,13 +20,14 @@ and the induced Hodge filtration is read off ranks: dim(F^i /\\ W) = dim F^i +
 dim W - dim(F^i + W).  `is_ordinary` takes the admissibility report its caller
 already has (`rep`) instead of deciding admissibility again.
 
-A PhiNModule keeps what several checks of one module share as cached
-properties: its validation, the N chain, the char poly of phi, its rational
+A PhiNModule checks its invariants once, when it is built (so does
+`dataclasses.replace`), and keeps what several checks of one module share
+as cached properties: the N chain, the char poly of phi, its rational
 factors, the kernel chain ker f(phi)^k of each factor f (read by both
 `_stable_lattice` and the slope filtration) and the slope filtration.  Each
 is computed on its first read; a read that raises caches nothing.  A module
 must not be mutated after construction; `dataclasses.replace` gives a new
-module with nothing cached.
+module whose cache holds only the N chain its checks read.
 """
 
 from __future__ import annotations
@@ -114,10 +115,12 @@ class PhiNModule:
     def q(self) -> int:
         return self.p ** self.a
 
-    @cached_property
-    def valid(self) -> bool:
-        """True once every module invariant holds; else the first that fails
-        is raised."""
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Check every module invariant, naming the first one that fails;
+        the filtrations checked themselves when they were built."""
         if not is_prime(self.p):
             raise ModuleInvariantError("p_prime", f"p = {self.p} is not a prime")
         n = self.dim
@@ -131,12 +134,8 @@ class PhiNModule:
             raise ModuleInvariantError("commutation", "N phi != q phi N")
         for name in ("fil", "gamma_fil"):
             fl = getattr(self, name)
-            if fl is None:
-                continue
-            if fl.ambient_dim != n or fl.orientation != DECREASING:
+            if fl is not None and (fl.ambient_dim != n or fl.orientation != DECREASING):
                 raise ModuleInvariantError("filtration", f"{name} must be decreasing on Q^dim")
-            fl.validate()
-        return True
 
     @cached_property
     def n_chain(self) -> NChain:
@@ -169,10 +168,9 @@ class PhiNModule:
         return IndexedFiltration.make(self.dim, INCREASING, steps)
 
 
-def validate(D: PhiNModule) -> PhiNModule:
-    """Check every module invariant, naming the first one that fails."""
-    D.valid  # a cached property: the checks run on the first read only
-    return D
+# the name perfbench/selftest.py checks each loaded module with; a module
+# has already checked itself when it was built, so nothing else calls it
+validate = PhiNModule.validate
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,6 @@ def slope_filtration(D: PhiNModule) -> IndexedFiltration:
 def weight_filtration(D: PhiNModule) -> IndexedFiltration:
     """Increasing phi-stable filtration with gr_r pure of weight d + r,
     i.e. all eigenvalue valuations on gr_r equal to (d + r)/2."""
-    # an increasing reindexing of a valid filtration needs no new checks
     return IndexedFiltration(D.dim, INCREASING,
                              tuple((2 * s - D.d, S) for s, S in D.slope_fil.steps))
 
@@ -439,7 +436,6 @@ def is_weakly_admissible(D: PhiNModule, seed: int = 0, budget: int = 64) -> Admi
     INVARIANT_SUBSPACE_GUARD subspaces are stable; otherwise a sampled
     verdict.  A violating witness always certifies non-admissibility.
     """
-    validate(D)
     tn, th = t_numbers(D)
     if tn != th:
         return AdmissibilityReport(tn, th, "not_admissible", True,
@@ -551,7 +547,6 @@ def cbar_quotient(D: PhiNModule):
     """(C, Dbar): C = 0 for odd d; for even d, C is the sum of the nonzero
     slope components of phi restricted to ker(N), and Dbar = D/C with the
     induced structure."""
-    validate(D)
     n = D.dim
     if D.d % 2 == 1:
         c = Subspace.zero(n)
@@ -574,7 +569,6 @@ def cbar_quotient(D: PhiNModule):
         fil=D.fil.map_subspaces(qm.subspace_image),
         gamma_fil=gamma_filtration(D).map_subspaces(qm.subspace_image),
     )
-    validate(dbar)
     return c, dbar
 
 
@@ -603,7 +597,6 @@ class ReducedModuleReport:
 
 
 def reduced_module_check(D: PhiNModule) -> ReducedModuleReport:
-    validate(D)
     try:
         c, dbar = cbar_quotient(D)
     except SlopeDecompositionError as e:

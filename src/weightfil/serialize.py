@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .errors import EnumerationBudgetError, SchemaError
 from .exact_linalg import QMatrix, Subspace, rat
@@ -31,8 +32,12 @@ MAX_COMPLEX_DIM = 256
 # weight filtrations cost more: at 64, one level-2 stratum takes about 1.6 s
 MAX_STEENBRINK_DIM = 64
 # ss-cech's flag complex holds H^*(M_J) once per chain of nonempty sets ending
-# at J, i.e. per ordered partition of J; a 5-set's 541 pass the cap already
-_CHAINS = (0, 1, 3, 13, 75, 541)
+# at J, i.e. per ordered partition of J: _CHAINS[|J|] for |J| <= 7
+_CHAINS = (0, 1, 3, 13, 75, 541, 4683, 47293)
+# the most chains of nonempty sets of components the flag complex may list:
+# 149 for 4 components, 1,081 for 5, 9,365 for 6 and 94,585 for 7, whose
+# listing takes seconds
+MAX_FLAGS = 10_000
 
 
 def _check_dim(size: int, cap: int, what: str):
@@ -101,12 +106,17 @@ def parse_filtration(obj, ambient: int, orientation: str, what: str) -> IndexedF
     return IndexedFiltration.make(ambient, orientation, steps)
 
 
-def _int_items(obj, what: str) -> list:
-    """The (key, value) pairs of a JSON object whose keys are integers."""
+def _items(obj, what: str):
+    """The (key, value) pairs of a JSON object."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{what}: expected an object")
+    return obj.items()
+
+
+def _int_items(obj, what: str) -> list:
+    """The (key, value) pairs of a JSON object whose keys are integers."""
     try:
-        return [(int(k), v) for k, v in obj.items()]
+        return [(int(k), v) for k, v in _items(obj, what)]
     except ValueError as e:
         raise SchemaError(f"{what}: keys must be integers") from e
 
@@ -156,6 +166,11 @@ def load_nerve(obj: dict) -> NerveDatum:
                           f"without {SUBSET_SEP!r}")
     if len(set(comps)) != len(comps):
         raise SchemaError("nerve: repeated component names")
+    # past 7 components, the chains ending at the 7-sets alone pass the cap
+    n = len(comps)
+    if sum(comb(n, k) * _CHAINS[k] for k in range(1, min(n, 7) + 1)) > MAX_FLAGS:
+        raise EnumerationBudgetError(f"{n} nerve components give more than "
+                                     f"{MAX_FLAGS} chains of component sets to list")
     if not isinstance(obj["strata"], dict):
         raise SchemaError("nerve strata: expected an object of stratum -> dims")
     strata = {}
@@ -163,14 +178,14 @@ def load_nerve(obj: dict) -> NerveDatum:
         j = _parse_subset(key, comps, "nerve strata")
         strata[j] = {s: _parse_int(v, f"strata[{key}][{s}]", 0)
                      for s, v in _int_items(dims, f"nerve strata[{key}]")}
-    _check_dim(sum(_CHAINS[min(len(j), 5)] * sum(d.values()) for j, d in strata.items()),
+    _check_dim(sum(_CHAINS[len(j)] * sum(d.values()) for j, d in strata.items()),
                MAX_COMPLEX_DIM, "nerve strata")
     weights = None
     if "weights" in obj:
         weights = {s: _parse_int(w, "weights", None)
                    for s, w in _int_items(obj["weights"], "weights")}
     restrictions = {}
-    for key, mats in obj.get("restrictions", {}).items():
+    for key, mats in _items(obj.get("restrictions", {}), "nerve restrictions"):
         if ARROW not in key:
             raise SchemaError(f"nerve restrictions: key {key!r} must be 'J{ARROW}J2'")
         k1, k2 = key.split(ARROW, 1)
@@ -193,12 +208,12 @@ def load_steenbrink(obj: dict) -> SteenbrinkDatum:
     levels = {}
     names = set()
     for t, lst in _int_items(obj["levels"], "steenbrink levels"):
-        if not isinstance(lst, list):
+        if not isinstance(lst, list) or any(not isinstance(nm, str) for nm in lst):
             raise SchemaError("steenbrink levels: expected lists of stratum names")
         levels[t] = list(lst)
         names.update(lst)
     dims = {}
-    for nm, degs in obj["dims"].items():
+    for nm, degs in _items(obj["dims"], "steenbrink dims"):
         if nm not in names:
             raise SchemaError(f"steenbrink dims: unknown stratum {nm!r}")
         dims[nm] = {m: _parse_int(v, f"dims[{nm}][{m}]", 0)
@@ -211,7 +226,7 @@ def load_steenbrink(obj: dict) -> SteenbrinkDatum:
 
     def parse_maps(section, degree_shift):
         out = {}
-        for key, mats in obj.get(section, {}).items():
+        for key, mats in _items(obj.get(section, {}), f"steenbrink {section}"):
             if ARROW not in key:
                 raise SchemaError(f"steenbrink {section}: key {key!r} must be "
                                   f"'from{ARROW}to'")
@@ -232,8 +247,7 @@ def load_steenbrink(obj: dict) -> SteenbrinkDatum:
 
 
 def load_filtered_complex(obj: dict) -> FilteredComplex:
-    _require_keys(obj, {"schema", "spaces"},
-                  {"differentials", "filtration", "labels", "blocks"},
+    _require_keys(obj, {"schema", "spaces"}, {"differentials", "filtration"},
                   "filtered complex")
     _check_schema(obj, "filtered complex")
     spaces = {n: _parse_int(v, f"spaces[{n}]", 0)
@@ -248,22 +262,4 @@ def load_filtered_complex(obj: dict) -> FilteredComplex:
         filtration[n] = {p: parse_subspace(rows, spaces.get(n, 0),
                                            f"filtration[{n}][{p}]")
                          for p, rows in _int_items(levels, f"filtration[{n}]")}
-    labels = None
-    if "labels" in obj:
-        labels = {}
-        for key, w in obj["labels"].items():
-            try:
-                ps, qs = key.split(SUBSET_SEP)
-                labels[(int(ps), int(qs))] = w
-            except ValueError as e:
-                raise SchemaError(f"labels: bad key {key!r}") from e
-    blocks = None
-    if "blocks" in obj:
-        blocks = {}
-        for n, lst in _int_items(obj["blocks"], "blocks"):
-            if not isinstance(lst, list) or any(not isinstance(e, list) or len(e) != 3
-                                                for e in lst):
-                raise SchemaError(f"blocks[{n}]: expected a list of [p, q, size]")
-            blocks[n] = [(_parse_int(p, "block p"), _parse_int(q, "block q"),
-                          _parse_int(sz, "block size", 0)) for p, q, sz in lst]
-    return FilteredComplex(GradedComplex(spaces, diffs), filtration, blocks, labels)
+    return FilteredComplex(GradedComplex(spaces, diffs), filtration)

@@ -42,14 +42,16 @@ class GradedComplex:
     spaces: dict
     differentials: dict
 
-    def validate(self) -> "GradedComplex":
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
         for n, m in self.differentials.items():
             if m.cols != self.spaces.get(n, 0) or m.rows != self.spaces.get(n + 1, 0):
                 raise PreconditionError(f"differential at degree {n} has wrong shape")
             nxt = self.differentials.get(n + 1)
             if nxt is not None and not (nxt @ m).is_zero():
                 raise PreconditionError(f"d o d != 0 at degree {n}")
-        return self
 
     def degrees(self) -> list:
         return sorted(k for k, v in self.spaces.items() if v)
@@ -176,12 +178,12 @@ class FilteredComplex:
                 return levels[k]
         return Subspace.zero(dim_n)
 
-    def validate(self) -> "FilteredComplex":
-        """Check d o d = 0 and the filtration, and keep the pairing.  The levels
-        nest iff extend_basis builds each degree's adapted basis from the top
-        down; d respects F iff no column of d in those bases has a nonzero row
-        of lower level, and d(F^p) <= F^p first fails one above the lowest."""
-        self.complex.validate()
+    def validate(self):
+        """Check the filtration, and keep the pairing; the complex checked
+        d o d = 0 when it was built.  The levels nest iff extend_basis builds
+        each degree's adapted basis from the top down; d respects F iff no
+        column of d in those bases has a nonzero row of lower level, and
+        d(F^p) <= F^p first fails one above the lowest."""
         lo, hi = self.p_range()
         levels, basis = {}, {}
         for n, dim_n in self.complex.spaces.items():
@@ -218,7 +220,6 @@ class FilteredComplex:
                 raise FiltrationError(f"differential does not respect filtration "
                                       f"at degree {n}, level {min(bad) + 1}")
         self._memo["pairing"] = levels, _pairing(levels, cols)
-        return self
 
 
 @dataclass(frozen=True)

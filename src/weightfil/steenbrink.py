@@ -39,6 +39,9 @@ class SteenbrinkDatum:
     restrictions: dict          # (name_t, name_{t+1}) -> {m: QMatrix}
     gysins: dict                # (name_t, name_{t-1}) -> {m: QMatrix}
 
+    def __post_init__(self):
+        self.validate()
+
     def stratum_dim(self, name: str, m: int) -> int:
         return self.dims.get(name, {}).get(m, 0)
 
@@ -49,7 +52,7 @@ class SteenbrinkDatum:
         return max((m for v in self.dims.values() for m, d in v.items() if d),
                    default=0)
 
-    def validate(self) -> "SteenbrinkDatum":
+    def validate(self):
         for t, names in self.levels.items():
             if t < 1:
                 raise PreconditionError("levels are indexed from 1")
@@ -66,7 +69,6 @@ class SteenbrinkDatum:
                 if mat.cols != self.stratum_dim(n1, m) or mat.rows != self.stratum_dim(n2, m + 2):
                     raise PreconditionError(
                         f"gysin {n1!r}->{n2!r} wrong shape in degree {m}")
-        return self
 
 
 class _Model:
@@ -75,7 +77,6 @@ class _Model:
     order, and its differential and monodromy blocks."""
 
     def __init__(self, sd: SteenbrinkDatum):
-        sd.validate()
         self.sd = sd
         tmax = sd.max_level()
         nmax = sd.max_degree() + tmax - 1 if tmax else 0
@@ -115,9 +116,6 @@ class _Model:
         if i >= 1 and t >= j + 2:
             dim = self.sd.stratum_dim(name, i + j + 1 - t)
             yield (i - 1, j + 1, t, name), QMatrix.identity(dim), -1 if i % 2 else 1
-
-    def differential(self, n: int) -> QMatrix:
-        return block_matrix(self.layout(n), self.layout(n + 1), self.blocks)
 
     def monodromy_matrix(self, n: int) -> QMatrix:
         """The shift (i,j,t) -> (i-1,j+1,t), signed by (-1)^i, on degree n."""

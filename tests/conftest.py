@@ -26,8 +26,20 @@ def from_roots(roots) -> Polynomial:
     return out
 
 
+def normalized_steps(fl: IndexedFiltration) -> tuple:
+    """The minimal step map with the same semantics as fl's."""
+    zero = Subspace.zero(fl.ambient_dim)
+    # a decreasing step repeating the next one, or an increasing step the
+    # previous one, is redundant
+    if fl.orientation == DECREASING:
+        nbrs = [s for _, s in fl.steps[1:]] + [zero]
+    else:
+        nbrs = [zero] + [s for _, s in fl.steps[:-1]]
+    return tuple((k, s) for (k, s), nbr in zip(fl.steps, nbrs) if s != nbr)
+
+
 def filtration_json(fl) -> dict:
-    return {rat_str(k): s.to_strings() for k, s in fl.normalized().steps}
+    return {rat_str(k): s.to_strings() for k, s in normalized_steps(fl)}
 
 
 def is_degenerate(page) -> bool:

@@ -2,7 +2,7 @@
 
 `tests/golden/builders.json` holds the exact assembled output of
 `cech_complex` and `flag_complex` on seeded random functorial nerves and of
-`_Model.differential` / `_Model.monodromy_matrix` on two seeded
+the differential and `_Model.monodromy_matrix` of two seeded
 three-level Steenbrink data: spaces, differential matrices, F^p at every
 level, `blocks` and `labels`.  Regenerate the file (only for a change that alters
 the assembly on purpose) with
@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from weightfil.exact_linalg import QMatrix
 from weightfil.nerve import cech_complex, flag_complex
+from weightfil.spectral import block_matrix
 from weightfil.steenbrink import SteenbrinkDatum, _Model
 
 from conftest import random_functorial_nerve
@@ -81,7 +82,9 @@ def random_steenbrink(seed: int) -> SteenbrinkDatum:
 
 def model_json(model: _Model) -> dict:
     degrees = range(-1, max(model.summands) + 2)
-    return {"differential": [[n, matrix_json(model.differential(n))] for n in degrees],
+    return {"differential": [[n, matrix_json(block_matrix(model.layout(n), model.layout(n + 1),
+                                                          model.blocks))]
+                             for n in degrees],
             "monodromy": [[n, matrix_json(model.monodromy_matrix(n))] for n in degrees]}
 
 

@@ -287,9 +287,25 @@ def test_schema_error_strata_list(tmp_path):
     assert_schema_error(run_cli(["ss-cech"], path=write(tmp_path, "list.json", obj)))
 
 
-def test_schema_error_two_field_block(tmp_path):
-    obj = dict(D2_COMPLEX, blocks={"0": [[0, 0]]})
-    assert_schema_error(run_cli(["ss-pages"], path=write(tmp_path, "blocks.json", obj)))
+def test_ss_pages_rejects_labels_and_blocks(tmp_path):
+    # ss-pages reads neither, so neither is part of its input
+    for key, value in (("labels", []), ("blocks", {"0": [[0, 0, 5]]})):
+        obj = dict(D2_COMPLEX, **{key: value})
+        res = run_cli(["ss-pages"], path=write(tmp_path, f"{key}.json", obj))
+        assert_schema_error(res)
+        assert f"unknown keys ['{key}']".encode() in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize("cmd,payload", [
+    ("ss-steenbrink", dict(CYCLE3_STEENBRINK, dims=[])),
+    ("ss-steenbrink", dict(CYCLE3_STEENBRINK, restrictions=[])),
+    ("ss-steenbrink", dict(CYCLE3_STEENBRINK, gysins=[])),
+    ("ss-steenbrink", dict(CYCLE3_STEENBRINK, levels={"1": [["c"]]})),
+    ("ss-cech", dict(TRIANGLE_NERVE, restrictions=[]))],
+    ids=["steenbrink_dims", "steenbrink_restrictions", "steenbrink_gysins",
+         "steenbrink_stratum_name", "cech_restrictions"])
+def test_schema_error_malformed_strata(tmp_path, cmd, payload):
+    assert_schema_error(run_cli([cmd], path=write(tmp_path, "s.json", payload)))
 
 
 def test_schema_error_fractional_filtration_index(tmp_path):
@@ -374,6 +390,17 @@ def test_strata_dimension_caps(tmp_path, cmd, payload, cap):
     assert cap is None or cap in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("n,code", [(5, 0), (7, 2)])
+def test_ss_cech_flag_budget(tmp_path, n, code):
+    # the flag complex lists 1,081 chains of component sets for 5 components
+    # and 94,585 for 7, whatever the strata
+    payload = {"schema": 1, "components": [chr(ord("a") + i) for i in range(n)],
+               "strata": {"a": {"0": 1}}}
+    res = _run_cli_bounded(["ss-cech", str(write(tmp_path, "n.json", payload))])
+    assert res.returncode == code, res.stderr
+    assert (b"more than 10000 chains" in res.stderr) == bool(code), res.stderr
+
+
 def test_drinfeld_ball_rejects_d_below_one():
     for d in ("-1", "0"):
         res = run_cli(["drinfeld-ball", "--d", d, "--p", "2", "--n", "3"])
@@ -411,6 +438,30 @@ def test_phin_analyze_decides_admissibility_once(tmp_path, monkeypatch, capsys):
         assert cli.main(["phin-analyze", str(write(tmp_path, "m.json", obj))]) == 0
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["ordinary"] == ordinary
+
+
+@pytest.mark.parametrize("cmd,obj,modules", [
+    ("phin-netcoh", TATE_CURVE, 2), ("phin-analyze", TATE_CURVE, 1),
+    ("phin-check-mw", TATE_CURVE, 1), ("phin-netcoh", NETCOH_D2, 2)],
+    ids=["netcoh", "analyze", "check_mw", "netcoh_d2"])
+def test_each_module_and_filtration_is_checked_once(tmp_path, monkeypatch, capsys,
+                                                    cmd, obj, modules):
+    # phin-netcoh builds D and D/C; every filtration checks itself once, when
+    # it is built, and a module does not check its filtrations again
+    from weightfil import cli
+    from weightfil.filtration import IndexedFiltration
+    from weightfil.phin import PhiNModule
+    checked = {PhiNModule: [], IndexedFiltration: []}
+    for cls, seen in checked.items():
+        real = cls.validate
+        monkeypatch.setattr(cls, "validate",
+                            lambda self, real=real, seen=seen: seen.append(self) or real(self))
+    assert cli.main([cmd, str(write(tmp_path, "m.json", obj))]) == 0
+    capsys.readouterr()
+    assert len(checked[PhiNModule]) == modules
+    # the list keeps each object alive, so no two share an id
+    fls = checked[IndexedFiltration]
+    assert fls and len({id(fl) for fl in fls}) == len(fls)
 
 
 def test_phin_analyze_certifies_two_blocks_past_the_phi_guard(tmp_path):

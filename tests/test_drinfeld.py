@@ -422,5 +422,6 @@ def test_stratum_type():
 
 
 def test_stratum_type_validation():
-    with pytest.raises(PreconditionError):
-        stratum_type(SimplexType((3,)), 2)
+    for sig in ((3,), (0,), (2, 1), (1, 1)):
+        with pytest.raises(PreconditionError, match="strictly increasing in"):
+            stratum_type(SimplexType(sig), 2)

@@ -7,7 +7,7 @@ from weightfil.errors import FiltrationError
 from weightfil.exact_linalg import Subspace
 from weightfil.filtration import DECREASING, INCREASING, IndexedFiltration
 
-from conftest import filtration_json, sub
+from conftest import filtration_json, normalized_steps, sub
 from test_cli import TATE_CURVE
 
 
@@ -42,6 +42,11 @@ def test_monotonicity_enforced():
     with pytest.raises(FiltrationError):
         IndexedFiltration.make(2, DECREASING, {
             0: sub(2, [[1, 0]]), 1: sub(2, [[0, 1]])})
+    # a filtration built without `make` checks itself too
+    with pytest.raises(FiltrationError, match="not monotone"):
+        IndexedFiltration(2, INCREASING, ((0, Subspace.full(2)), (1, sub(2, [[1, 0]]))))
+    with pytest.raises(FiltrationError, match="ambient"):
+        IndexedFiltration(2, INCREASING, ((0, Subspace.full(3)),))
 
 
 def test_semantic_equality_ignores_redundant_steps():
@@ -51,7 +56,7 @@ def test_semantic_equality_ignores_redundant_steps():
         -3: Subspace.full(2), 0: Subspace.full(2), 1: sub(2, [[1, 0]]),
         2: Subspace.zero(2)})
     assert a.same_filtration(b)
-    assert a.normalized().steps == b.normalized().steps
+    assert normalized_steps(a) == normalized_steps(b)
 
 
 def test_step_diff():

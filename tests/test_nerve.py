@@ -164,7 +164,7 @@ def test_functoriality_validation_rejects_bad_maps():
     # break one square
     restr[(frozenset("ab"), frozenset("abc"))] = {0: twist}
     with pytest.raises(PreconditionError):
-        NerveDatum(comps, strata, restr).validate()
+        NerveDatum(comps, strata, restr)
 
 
 def test_weight_labels_and_degeneration():

@@ -21,7 +21,7 @@ from weightfil.phin import (PhiNModule, _n_chain, _sampled_candidates, _stable_l
                             monodromy_filtration, monodromy_weight_check,
                             newton_numbers,
                             reduced_module_check, slope_filtration, t_numbers,
-                            validate, weight_filtration)
+                            weight_filtration)
 from weightfil.serialize import load_phin
 
 from conftest import (conjugate, jordan_nilpotent, mk_module, monodromy_weight_diff, qm,
@@ -29,36 +29,31 @@ from conftest import (conjugate, jordan_nilpotent, mk_module, monodromy_weight_d
                       tate_module)
 
 
-# --- validate -------------------------------------------------------------
+# --- invariants, checked when a module is built ----------------------------
 
 def test_validate_dim1():
-    validate(tate_module(p=2, i=1))
+    assert tate_module(p=2, i=1).dim == 1
 
 
 def test_validate_commutation_holds():
-    validate(tate_curve_module())
+    assert tate_curve_module().dim == 2
 
 
 def test_validate_commutation_fails():
-    bad = mk_module(2, 1, 1, [[1, 0], [0, 1]], [[0, 1], [0, 0]],
-                    {0: "full", 1: [[1, 0]]})
     with pytest.raises(ModuleInvariantError) as ei:
-        validate(bad)
+        mk_module(2, 1, 1, [[1, 0], [0, 1]], [[0, 1], [0, 0]], {0: "full", 1: [[1, 0]]})
     assert ei.value.invariant == "commutation"
 
 
 def test_validate_non_invertible():
-    bad = mk_module(2, 1, 0, [[0]], [[0]], {0: "full"})
     with pytest.raises(ModuleInvariantError) as ei:
-        validate(bad)
+        mk_module(2, 1, 0, [[0]], [[0]], {0: "full"})
     assert ei.value.invariant == "phi_invertible"
 
 
 def test_validate_non_nilpotent():
-    bad = mk_module(2, 1, 1, [[1, 0], [0, 2]], [[1, 0], [0, 0]],
-                    {0: "full"})
     with pytest.raises(ModuleInvariantError) as ei:
-        validate(bad)
+        mk_module(2, 1, 1, [[1, 0], [0, 2]], [[1, 0], [0, 0]], {0: "full"})
     assert ei.value.invariant == "n_nilpotent"
 
 
@@ -686,8 +681,9 @@ def test_t_numbers_of_subspace_match_oracle():
     checked = set()
     for D in benchmark_modules(seeds=(41, 42)):
         lattice = _stable_lattice(D) or []
-        # q = p^2 reads the same phi in other units; both routes divide by a
-        D2 = dataclasses.replace(D, a=2)
+        # q = p^2 reads the same phi in other units; both routes divide by a.
+        # N phi = q phi N then needs N = 0, and neither route reads N
+        D2 = dataclasses.replace(D, a=2, N=QMatrix.zero(D.dim, D.dim))
         for W in lattice + _sampled_candidates(D, seed=7, budget=16):
             assert _t_numbers_of_subspace(D, W) == oracle_t_numbers_of_subspace(D, W)
             assert _t_numbers_of_subspace(D2, W) == oracle_t_numbers_of_subspace(D2, W)
@@ -730,7 +726,6 @@ def test_module_caches_chain_factors_and_slopes_once(monkeypatch):
     slopes = counting(monkeypatch, "slope_decomposition")
     for D in benchmark_modules(seeds=(45,)):
         for _ in range(2):
-            validate(D)
             rep = is_weakly_admissible(D, seed=1, budget=8)
             try:
                 is_ordinary(D, rep=rep)
@@ -772,17 +767,16 @@ def test_failed_slope_decomposition_is_not_cached(monkeypatch):
         with pytest.raises(SlopeDecompositionError):
             D.slope_fil
     assert len(slopes) == 2 and "slope_fil" not in vars(D)
-    assert validate(D) is D
 
 
 def test_replace_gives_fresh_cache():
     D = tate_curve_module()
-    validate(D)
     assert weight_filtration(D).graded_dims() == {Fraction(-1): 1, Fraction(1): 1}
-    D2 = dataclasses.replace(D, a=2)
-    assert not {"valid", "n_chain", "char_poly", "factors", "slope_fil"} & set(vars(D2))
+    # the new module checks itself, which reads its own N chain only
+    D2 = dataclasses.replace(D, a=2, N=qm([[0, 0], [0, 0]]))
+    assert D2.n_chain is not D.n_chain
+    assert not {"char_poly", "factors", "slope_fil"} & set(vars(D2))
     assert D2.q == 4 and D2.slope_fil.graded_dims() == {Fraction(0): 1, Fraction(1, 2): 1}
-    bad = dataclasses.replace(D, N=qm([[1, 0], [0, 0]]))
     with pytest.raises(ModuleInvariantError) as ei:
-        validate(bad)
+        dataclasses.replace(D, N=qm([[1, 0], [0, 0]]))
     assert ei.value.invariant == "n_nilpotent"

@@ -1,9 +1,11 @@
 """Static checks on the package source: no private helper without a caller,
-no public helper outside the package's exports without one, and no import
-that is not used."""
+no public helper outside the package's exports without one, no public
+method without one, and no import that is not used."""
 
 import ast
 import pathlib
+
+from test_layers import load_layers
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weightfil"
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path))
@@ -57,6 +59,24 @@ def test_every_unexported_public_definition_has_a_caller():
             own = {id(n) for n in ast.walk(node)}
             if not any(node.name in _mentions(other, own) for other in MODULES.values()):
                 uncalled.append(f"{fname}: {node.name}")
+    assert uncalled == []
+
+
+def test_every_public_method_has_a_caller():
+    # a method counts as called when any source file reads an attribute of
+    # its name; the methods the benchmark traces by name count as well
+    read = {node.attr for tree in MODULES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    read |= {path.rsplit(".", 1)[-1] for _, _, path, _ in load_layers().TARGETS}
+    uncalled = []
+    for fname, tree in MODULES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_") and node.name not in read):
+                    uncalled.append(f"{fname}: {cls.name}.{node.name}")
     assert uncalled == []
 
 

@@ -116,7 +116,7 @@ def test_filtration_compatibility_enforced():
         1: {0: Subspace.full(1), 1: Subspace.zero(1)},
     }
     with pytest.raises(FiltrationError):
-        FilteredComplex(gc, fil).validate()
+        FilteredComplex(gc, fil)
 
 
 def test_equivariant_check_forced_true():
@@ -256,9 +256,11 @@ def test_memoized_reads_match_fresh_complex_per_request():
 
 def test_invalid_complex_raises_at_construction():
     line_a, line_b = sub(2, [[1, 0]]), sub(2, [[0, 1]])
+    # a GradedComplex checks itself before any filtration is put on it
     with pytest.raises(PreconditionError, match="d o d"):
-        trivial_filtration(GradedComplex({0: 1, 1: 1, 2: 1},
-                                         {0: qm([[1]]), 1: qm([[1]])}))
+        GradedComplex({0: 1, 1: 1, 2: 1}, {0: qm([[1]]), 1: qm([[1]])})
+    with pytest.raises(PreconditionError, match="wrong shape"):
+        GradedComplex({0: 1, 1: 2}, {0: qm([[1]])})
     with pytest.raises(FiltrationError, match="not decreasing"):
         FilteredComplex(GradedComplex({0: 2}, {}),
                         {0: {0: Subspace.full(2), 1: line_a, 2: line_b,
@@ -427,7 +429,6 @@ def oracle_validate(gc, fil):
     """The per-level check that construction replaced: degree by degree,
     the levels are nested, F^lo is full, F^(hi+1) is zero, and
     d(F^p C^n) <= F^p C^(n+1) level by level, by subspace images."""
-    gc.validate()
     fc = Unchecked(gc, fil)
     lo, hi = fc.p_range()
     for n in list(gc.spaces):

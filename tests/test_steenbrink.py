@@ -123,6 +123,16 @@ def test_inconsistent_maps_rejected():
         steenbrink_double_complex(sd)
 
 
+def test_datum_checks_itself_at_construction():
+    with pytest.raises(PreconditionError, match="levels are indexed from 1"):
+        SteenbrinkDatum(d=1, levels={0: ["a"]}, dims={"a": {0: 1}},
+                        restrictions={}, gysins={})
+    with pytest.raises(PreconditionError, match="restriction 'a'->'p' wrong shape"):
+        SteenbrinkDatum(d=1, levels={1: ["a"], 2: ["p"]},
+                        dims={"a": {0: 1}, "p": {0: 1}},
+                        restrictions={("a", "p"): {0: qm([[1, 1]])}}, gysins={})
+
+
 def test_analyze_steenbrink_forms_no_matrix_power(monkeypatch):
     calls = []
     power = QMatrix.power
