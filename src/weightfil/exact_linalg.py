@@ -4,13 +4,20 @@ Matrices and subspaces over Q with arbitrary-precision Fraction entries;
 no floating point anywhere.  Subspaces are kept in reduced row-echelon
 form so that equality of subspaces is equality of representations.
 Characteristic polynomials are factored over Q here too, in pure Python.
+
+Elimination runs on primitive integer rows.  `_echelon` is the one
+fraction-free forward pass; ranks (`Subspace.sum_dim`, `contains`) read
+its length, and `_rref` adds back-reduction and the division by pivots.
+A QMatrix caches its integer form (`int_rows`) for `apply_int`.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, count
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -167,6 +174,20 @@ class QMatrix:
             out.append(Fraction(s, den * x_den) if s else _ZERO)
         return tuple(out)
 
+    @cached_property
+    def int_rows(self) -> tuple:
+        """The rows times the lcm of all denominators, as sparse
+        (column, int) pairs."""
+        den = _lcm({x.denominator for x in self.entries})
+        return tuple(tuple((j, x.numerator * (den // x.denominator))
+                           for j, x in enumerate(self.row(i)) if x)
+                     for i in range(self.rows))
+
+    def apply_int(self, vec: Sequence) -> list:
+        """A positive multiple of self.apply(vec) for an integer vector vec:
+        the same line, in integers."""
+        return [sum(a * vec[j] for j, a in row) for row in self.int_rows]
+
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
@@ -230,35 +251,49 @@ def _primitive(ints: list) -> list:
     return [x // g for x in ints] if g > 1 else ints
 
 
+def _insert(echelon: list, v: list):
+    """Reduce the integer row v against `echelon`, (pivot column, row) pairs
+    sorted by pivot, each row zero before its pivot, by cross-multiplying
+    and keeping v primitive; add and return what is left when it is
+    nonzero, else None."""
+    for c, row in echelon:
+        b = v[c]
+        if b:
+            a = row[c]
+            v = _primitive([a * x - b * y for x, y in zip(v, row)])
+    c = next((j for j, x in enumerate(v) if x), None)
+    if c is None:
+        return None
+    insort(echelon, (c, v))
+    return v
+
+
+def _echelon(rows) -> list:
+    """One forward elimination pass: [(pivot column, primitive integer row)]
+    sorted by pivot, spanning the rows; its length is their rank."""
+    echelon = []
+    for row in rows:
+        _insert(echelon, _integer_row(row))
+    return echelon
+
+
 def _rref(rows: list) -> tuple:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Fraction-free Gauss-Jordan: rows are scaled to integers and eliminated
-    by cross-multiplication, each kept primitive (divided by the gcd of its
-    entries) so entries stay small.  The surviving rows are divided by
-    their pivots at the end, which gives the unique RREF over Q.
+    The forward pass of `_echelon`, then back-reduction above each pivot,
+    last pivot first, in integers; the surviving rows are divided by their
+    pivots at the end, which gives the unique RREF over Q.
     """
-    m = [_integer_row(row) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
+    echelon = _echelon(rows)
+    pivots = [c for c, _ in echelon]
+    m = [row for _, row in echelon]
+    for k in reversed(range(len(m))):
+        c, prow = pivots[k], m[k]
         a = prow[c]
-        for i, row in enumerate(m):
-            b = row[c]
-            if b and i != r:
-                m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+        for i in range(k):
+            b = m[i][c]
+            if b:
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], prow)])
     return [_fractions(row, row[c]) for row, c in zip(m, pivots)], pivots
 
 
@@ -323,15 +358,18 @@ class Subspace:
                 v = [a - f * b for a, b in zip(v, row)]
         return all(x == 0 for x in v)
 
-    def contains(self, other: "Subspace") -> bool:
+    def sum_dim(self, other: "Subspace") -> int:
+        """dim(self + other): the rank of both bases, from one echelon pass."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(r) for r in other.basis_rows())
+        return len(_echelon(self.basis_rows() + other.basis_rows()))
 
-    def annihilator_matrix(self) -> QMatrix:
-        """Matrix K with self = {x : K x = 0}; K has ambient_dim - dim rows."""
-        ker = kernel(self.basis) if self.dim else Subspace.full(self.ambient_dim)
-        return ker.basis
+    def contains(self, other: "Subspace") -> bool:
+        """other <= self iff adding other's basis leaves the rank at dim self."""
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return other.is_zero() or self.is_full() or (
+            other.dim <= self.dim and self.sum_dim(other) == self.dim)
 
     def to_strings(self) -> list:
         return self.basis.to_strings()
@@ -364,15 +402,20 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a /\\ b by Zassenhaus: one RREF of the rows (x | x) for x in a and
+    (y | 0) for y in b.  A reduced row with its pivot in the right half has a
+    zero left half, and those rows' right halves are the RREF of a /\\ b."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ka = a.annihilator_matrix()
-    kb = b.annihilator_matrix()
-    stacked = QMatrix.from_rows(ka.row_list() + kb.row_list()) \
-        if ka.rows + kb.rows else QMatrix.zero(0, a.ambient_dim)
-    if stacked.rows == 0:
-        return Subspace.full(a.ambient_dim)
-    return kernel(stacked)
+    if a.is_zero() or b.is_full():
+        return a
+    if b.is_zero() or a.is_full():
+        return b
+    n = a.ambient_dim
+    red, pivots = _rref([r + r for r in a.basis_rows()]
+                        + [r + (_ZERO,) * n for r in b.basis_rows()])
+    meet = [x for row, c in zip(red, pivots) if c >= n for x in row[n:]]
+    return Subspace(n, QMatrix(len(meet) // n, n, tuple(meet)))
 
 
 def image_of_subspace(m: QMatrix, w: Subspace) -> Subspace:

@@ -42,10 +42,10 @@ from typing import NamedTuple
 
 from .errors import (InconclusiveError, ModuleInvariantError, NilpotencyBoundError,
                      SlopeDecompositionError)
-from .exact_linalg import (Polynomial, QMatrix, QuotientMap, Subspace, char_poly,
-                           factor_rational_poly, image, image_of_subspace, kernel,
-                           newton_polygon, pvaluation, rat, subspace_intersect,
-                           subspace_sum)
+from .exact_linalg import (Polynomial, QMatrix, QuotientMap, Subspace, _insert,
+                           _integer_row, char_poly, factor_rational_poly, image,
+                           image_of_subspace, kernel, newton_polygon, pvaluation, rat,
+                           subspace_intersect, subspace_sum)
 from .filtration import DECREASING, INCREASING, IndexedFiltration
 from .galois import is_prime
 
@@ -317,7 +317,7 @@ def _meet_dim(F: Subspace, W: Subspace) -> int:
         return 0
     if F.is_full():
         return W.dim
-    return F.dim + W.dim - subspace_sum(F, W).dim
+    return F.dim + W.dim - F.sum_dim(W)
 
 
 def _t_numbers_of_subspace(D: PhiNModule, W: Subspace) -> tuple:
@@ -384,15 +384,15 @@ def _stable_lattice(D: PhiNModule):
 
 
 def _closure(D: PhiNModule, vectors) -> Subspace:
-    """The smallest (phi,N)-stable subspace containing `vectors`."""
-    span = Subspace.from_vectors(D.dim, vectors)
-    while True:
-        rows = span.basis_rows()
-        nxt = Subspace.from_vectors(D.dim, rows + [D.phi.apply(r) for r in rows]
-                                    + [D.N.apply(r) for r in rows])
-        if nxt.dim == span.dim:
-            return span
-        span = nxt
+    """The smallest (phi,N)-stable subspace containing `vectors`: a worklist
+    of integer vectors, each reduced against the echelon rows found so far;
+    phi and N are applied only to the vectors that were independent."""
+    echelon, todo = [], [_integer_row(v) for v in vectors]
+    while todo and len(echelon) < D.dim:
+        v = _insert(echelon, todo.pop())
+        if v is not None:
+            todo += [D.phi.apply_int(v), D.N.apply_int(v)]
+    return Subspace.from_vectors(D.dim, [row for _, row in echelon])
 
 
 def _sampled_candidates(D: PhiNModule, seed: int, budget: int) -> list:

@@ -176,6 +176,8 @@ def load_nerve(obj: dict) -> NerveDatum:
     strata = {}
     for key, dims in obj["strata"].items():
         j = _parse_subset(key, comps, "nerve strata")
+        if j in strata:
+            raise SchemaError(f"nerve strata: key {key!r} repeats a component set")
         strata[j] = {s: _parse_int(v, f"strata[{key}][{s}]", 0)
                      for s, v in _int_items(dims, f"nerve strata[{key}]")}
     _check_dim(sum(_CHAINS[len(j)] * sum(d.values()) for j, d in strata.items()),
@@ -191,6 +193,8 @@ def load_nerve(obj: dict) -> NerveDatum:
         k1, k2 = key.split(ARROW, 1)
         j1 = _parse_subset(k1, comps, "nerve restrictions")
         j2 = _parse_subset(k2, comps, "nerve restrictions")
+        if (j1, j2) in restrictions:
+            raise SchemaError(f"nerve restrictions: key {key!r} repeats a pair of component sets")
         by_deg = {}
         for s, rows in _int_items(mats, f"restriction {key}"):
             shape = (strata.get(j2, {}).get(s, 0), strata.get(j1, {}).get(s, 0))

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
 
-from weightfil.exact_linalg import (Polynomial, QMatrix, QuotientMap, Subspace, _rref, rat,
-                                    rat_str)
+from weightfil import exact_linalg
+from weightfil.exact_linalg import (Polynomial, QMatrix, QuotientMap, Subspace, _rref, kernel,
+                                    rat, rat_str)
 from weightfil.filtration import DECREASING, IndexedFiltration
 from weightfil.nerve import NerveDatum
 from weightfil.phin import PhiNModule, monodromy_filtration, weight_filtration
@@ -11,6 +12,26 @@ from weightfil.phin import PhiNModule, monodromy_filtration, weight_filtration
 def rank(m: QMatrix) -> int:
     red, _ = _rref(m.row_list())
     return len(red)
+
+
+def counting_rref(monkeypatch) -> list:
+    """Count the calls of exact_linalg._rref (one elimination each)."""
+    calls, rref = [], exact_linalg._rref
+    monkeypatch.setattr(exact_linalg, "_rref", lambda rows: calls.append(1) or rref(rows))
+    return calls
+
+
+def annihilator_matrix(w: Subspace) -> QMatrix:
+    """Matrix K with w = {x : K x = 0}; K has ambient_dim - dim rows."""
+    ker = kernel(w.basis) if w.dim else Subspace.full(w.ambient_dim)
+    return ker.basis
+
+
+def oracle_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a /\\ b by the annihilator route that Zassenhaus replaced: the kernel
+    of the stacked annihilators of a and b."""
+    rows = annihilator_matrix(a).row_list() + annihilator_matrix(b).row_list()
+    return kernel(QMatrix.from_rows(rows)) if rows else Subspace.full(a.ambient_dim)
 
 
 def monodromy_weight_diff(D: PhiNModule) -> list:

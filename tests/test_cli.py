@@ -308,6 +308,21 @@ def test_schema_error_malformed_strata(tmp_path, cmd, payload):
     assert_schema_error(run_cli([cmd], path=write(tmp_path, "s.json", payload)))
 
 
+@pytest.mark.parametrize("payload,message", [
+    ({"schema": 1, "components": ["a", "b"], "restrictions": {},
+      "strata": {"a": {"0": 1}, "a,b": {"0": 1}, "b,a": {"0": 2}}},
+     b"key 'b,a' repeats a component set"),
+    (dict(TRIANGLE_NERVE, restrictions=dict(TRIANGLE_NERVE["restrictions"],
+                                            **{"a->b,a": {"0": [["2"]]}})),
+     b"key 'a->b,a' repeats a pair of component sets")],
+    ids=["strata", "restrictions"])
+def test_schema_error_repeated_nerve_key(tmp_path, payload, message):
+    # two keys naming one component set in different orders
+    res = run_cli(["ss-cech"], path=write(tmp_path, "n.json", payload))
+    assert_schema_error(res)
+    assert message in res.stderr
+
+
 def test_schema_error_fractional_filtration_index(tmp_path):
     # F(0) must be the full space below the smallest listed index
     for key in ("fil", "gamma_fil"):

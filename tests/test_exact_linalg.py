@@ -12,7 +12,7 @@ from weightfil.exact_linalg import (Polynomial, QMatrix, Subspace, _good_prime, 
                                     subspace_intersect, subspace_sum)
 from weightfil.galois import factor_mod_p
 
-from conftest import from_roots, qm, sub
+from conftest import counting_rref, from_roots, oracle_intersect, qm, sub
 
 
 def test_rat_roundtrip():
@@ -334,6 +334,92 @@ def test_extend_basis_matches_greedy_oracle():
         assert len(comp) == outer.dim - inner.dim
     with pytest.raises(ValueError):
         extend_basis(Subspace.full(2), Subspace.zero(2))
+
+
+def oracle_contains(a, b):
+    """b <= a, one reduction of each basis row of b against a's RREF rows."""
+    return all(a.contains_vector(r) for r in b.basis_rows())
+
+
+def _combinations(rng, n, rows, k):
+    """k random integer combinations of rows, as vectors of length n."""
+    coeffs = [[rng.randint(-3, 3) for _ in rows] for _ in range(k)]
+    return [[sum(c * rat(r[j]) for c, r in zip(cs, rows)) for j in range(n)] for cs in coeffs]
+
+
+def subspace_pairs(rng, count):
+    """Seeded pairs of subspaces: zero, full, equal, nested, transversal and
+    random ones, with entries from small integers up to 40-bit numerators
+    and denominators."""
+    pairs = [(Subspace.zero(0), Subspace.full(0)), (Subspace.zero(3), Subspace.full(3)),
+             (Subspace.full(2), Subspace.full(2)), (sub(3, [[1, 0, 0]]), Subspace.zero(3))]
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        a = Subspace.from_vectors(n, _random_rows(rng, rng.randint(0, n), n))
+        rows = a.basis_rows()
+        equal = Subspace.from_vectors(n, _combinations(rng, n, rows, len(rows) + 1))
+        nested = Subspace.from_vectors(n, _combinations(rng, n, rows, rng.randint(0, len(rows))))
+        # generic rows of the complement's dimension meet a in 0
+        transversal = Subspace.from_vectors(n, _random_rows(rng, n - a.dim, n))
+        other = Subspace.from_vectors(n, _random_rows(rng, rng.randint(0, n), n))
+        pairs += [(a, b) for b in (Subspace.zero(n), Subspace.full(n), a, equal, nested,
+                                   transversal, other)]
+    return pairs
+
+
+def test_intersect_matches_annihilator_oracle():
+    kinds = set()
+    for a, b in subspace_pairs(random.Random(20261022), 250):
+        for x, y in ((a, b), (b, a)):
+            got = subspace_intersect(x, y)
+            assert got == oracle_intersect(x, y), (x, y)
+            assert all(type(e) is Fraction for e in got.basis.entries)
+            assert got.dim + x.sum_dim(y) == x.dim + y.dim
+        kinds.add("zero" if b.is_zero() else "full" if b.is_full() else
+                  "equal" if a == b else "nested" if oracle_contains(a, b) else
+                  "transversal" if subspace_intersect(a, b).is_zero() else "other")
+    assert kinds == {"zero", "full", "equal", "nested", "transversal", "other"}
+
+
+def test_contains_and_sum_dim_match_oracles():
+    for a, b in subspace_pairs(random.Random(20261023), 250):
+        for x, y in ((a, b), (b, a)):
+            assert x.contains(y) == oracle_contains(x, y), (x, y)
+            assert x.sum_dim(y) == subspace_sum(x, y).dim
+    with pytest.raises(ValueError):
+        sub(2, [[1, 0]]).contains(sub(3, [[1, 0, 0]]))
+
+
+def test_apply_int_is_a_positive_multiple_of_apply():
+    rng = random.Random(20261024)
+    for _ in range(600):
+        r, c = rng.randint(0, 8), rng.randint(0, 8)
+        m = QMatrix(r, c, tuple(rat(x) for row in _random_rows(rng, r, c) for x in row))
+        vec = [rng.randint(-2 ** 40, 2 ** 40) if rng.random() < 0.6 else 0 for _ in range(c)]
+        got, want = m.apply_int(vec), m.apply(vec)
+        assert all(type(x) is int for x in got) and len(got) == r
+        if not any(want):
+            assert not any(got)
+            continue
+        k = next(Fraction(g) / w for g, w in zip(got, want) if w)
+        assert k > 0 and got == [k * w for w in want]
+
+
+def test_subspace_kernels_elimination_counts(monkeypatch):
+    # an intersection runs one elimination, none when a side is zero or full;
+    # containment reads a rank and runs none
+    pairs = subspace_pairs(random.Random(20261025), 40)
+    calls = counting_rref(monkeypatch)
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            calls.clear()
+            subspace_intersect(x, y)
+            trivial = x.is_zero() or x.is_full() or y.is_zero() or y.is_full()
+            assert len(calls) == (0 if trivial else 1)
+            calls.clear()
+            x.contains(y)
+            x.sum_dim(y)
+            assert calls == []
 
 
 def test_power_takes_k_minus_one_products(monkeypatch):

@@ -13,9 +13,9 @@ from weightfil.exact_linalg import (QMatrix, QuotientMap, Subspace, char_poly,
                                     image, kernel, newton_polygon,
                                     subspace_intersect, subspace_sum)
 from weightfil.filtration import DECREASING, IndexedFiltration
-from weightfil.phin import (PhiNModule, _n_chain, _sampled_candidates, _stable_lattice,
-                            _t_numbers_of_subspace, cbar_quotient, check_opposite,
-                            convolution_step, gamma_filtration, hodge_numbers,
+from weightfil.phin import (PhiNModule, _closure, _meet_dim, _n_chain, _sampled_candidates,
+                            _stable_lattice, _t_numbers_of_subspace, cbar_quotient,
+                            check_opposite, convolution_step, gamma_filtration, hodge_numbers,
                             image_filtration, is_ordinary, is_weakly_admissible,
                             kernel_filtration, kernel_image_collapse,
                             monodromy_filtration, monodromy_weight_check,
@@ -24,9 +24,9 @@ from weightfil.phin import (PhiNModule, _n_chain, _sampled_candidates, _stable_l
                             weight_filtration)
 from weightfil.serialize import load_phin
 
-from conftest import (conjugate, jordan_nilpotent, mk_module, monodromy_weight_diff, qm,
-                      random_invertible, random_nilpotent, sub, tate_curve_module,
-                      tate_module)
+from conftest import (conjugate, counting_rref, jordan_nilpotent, mk_module,
+                      monodromy_weight_diff, qm, random_invertible, random_nilpotent, sub,
+                      tate_curve_module, tate_module)
 
 
 # --- invariants, checked when a module is built ----------------------------
@@ -616,6 +616,24 @@ def oracle_stable_lattice(D):
     return [W for W in subspaces if all(W.contains_vector(D.N.apply(r)) for r in W.basis_rows())]
 
 
+def oracle_closure(D, vectors):
+    """The fixpoint that the worklist closure replaced: add phi and N of the
+    whole basis and re-eliminate until the dimension stops growing."""
+    span = Subspace.from_vectors(D.dim, vectors)
+    while True:
+        rows = span.basis_rows()
+        nxt = Subspace.from_vectors(D.dim, rows + [D.phi.apply(r) for r in rows]
+                                    + [D.N.apply(r) for r in rows])
+        if nxt.dim == span.dim:
+            return span
+        span = nxt
+
+
+def oracle_meet_dim(F, W):
+    """dim(F /\\ W) through the RREF of F + W."""
+    return F.dim + W.dim - subspace_sum(F, W).dim
+
+
 def companion(f):
     """Companion matrix of the monic polynomial with coefficients f, lowest
     degree first."""
@@ -691,6 +709,65 @@ def test_t_numbers_of_subspace_match_oracle():
     assert {d for d, _, _ in checked} == {2, 3, 4, 5, 6}
     assert {p for _, p, _ in checked} == {2, 3}
     assert {cyc for _, _, cyc in checked} == {True, False}
+
+
+def non_cyclic_modules(rng):
+    """The benchmark's modules and tower modules, cyclic or not, among them
+    N = 0 on a repeated eigenvalue and a tower over a non-cyclic block."""
+    yield from benchmark_modules(seeds=(47,))
+    for towers in ([(QUADRATIC, 2), (QUADRATIC, 1)], [((-1, 1), 2), ((-1, 1), 1)],
+                   [((-3, 1), 1), ((-3, 1), 1), ((-1, 1), 2)], [(SQUARE, 2)]):
+        yield tower_module(rng, towers)
+    u, v = 2 ** 61 - 1, Fraction(3, 2 ** 40)
+    yield mk_module(2, 1, 0, [[u, 0, 0], [0, u, 0], [0, 0, v]], [[0] * 3] * 3, {0: "full"})
+
+
+def test_closure_matches_fixpoint_oracle():
+    rng = random.Random(48)
+    seen_non_cyclic = 0
+    for D in non_cyclic_modules(rng):
+        seen_non_cyclic += _stable_lattice(D) is None
+        n = D.dim
+        vector_sets = [[], [[0] * n], [[1] + [0] * (n - 1)]]
+        for _ in range(12):
+            k = rng.randint(1, 3)
+            vector_sets.append([[Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 9))
+                                 if rng.random() < 0.5 else 0 for _ in range(n)]
+                                for _ in range(k)])
+        for vectors in vector_sets:
+            got = _closure(D, vectors)
+            assert got == oracle_closure(D, vectors)
+            assert all(got.contains_vector(M.apply(r)) for M in (D.phi, D.N)
+                       for r in got.basis_rows())
+    assert seen_non_cyclic >= 4
+
+
+def test_meet_dim_matches_oracle():
+    rng = random.Random(49)
+    for D in benchmark_modules(seeds=(50,)):
+        subspaces = [F for _, F in D.fil.steps] + _sampled_candidates(D, seed=3, budget=8)
+        subspaces += [Subspace.zero(D.dim), Subspace.full(D.dim)]
+        for F in subspaces:
+            for W in rng.sample(subspaces, min(len(subspaces), 6)):
+                assert _meet_dim(F, W) == oracle_meet_dim(F, W)
+
+
+def test_closure_and_meet_dim_elimination_counts(monkeypatch):
+    # the closure eliminates once, for its canonical basis; the Hodge meets
+    # read ranks and eliminate never
+    modules = list(benchmark_modules(seeds=(51,)))
+    calls = counting_rref(monkeypatch)
+    rng = random.Random(52)
+    for D in modules:
+        for _ in range(4):
+            calls.clear()
+            _closure(D, [[rng.randint(-3, 3) for _ in range(D.dim)]])
+            assert len(calls) == 1
+        for F in [F for _, F in D.fil.steps]:
+            calls.clear()
+            _meet_dim(F, D.n_chain.ker(1))
+            _meet_dim(F, D.n_chain.im(1))
+            assert calls == []
 
 
 def test_n_chain_convolution_matches_oracle():

@@ -18,7 +18,8 @@ from weightfil.spectral import (FilteredComplex, GradedComplex, Page, abutment_f
                                 total_cohomology_dims)
 from weightfil.steenbrink import steenbrink_double_complex
 
-from conftest import euler_characteristic, is_degenerate, qm, random_invertible, rank, sub
+from conftest import (annihilator_matrix, euler_characteristic, is_degenerate, qm,
+                      random_invertible, rank, sub)
 from test_cli import CYCLE3_STEENBRINK, D2_COMPLEX, TRIANGLE_NERVE
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -273,7 +274,7 @@ def test_invalid_complex_raises_at_construction():
 
 def preimage(m, w):
     """{x : m x in w}."""
-    k = w.annihilator_matrix()
+    k = annihilator_matrix(w)
     return kernel(k @ m) if k.rows else Subspace.full(m.cols)
 
 
