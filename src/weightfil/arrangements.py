@@ -6,14 +6,17 @@ The arrangement complement of all F_q-rational hyperplanes is computed two
 ways: a Gysin recursion that deletes one hyperplane at a time (purity makes
 the long exact sequence split), and the Moebius function of the intersection
 lattice (all subspaces of F_q^(r+1)); the Betti vector carries Frobenius
-q^m on degree m.  The recursion traces a normal on a hyperplane with one
-table lookup pair per coordinate; the Moebius route keys its incidences by
-packed projective points (`galois.PackedSpace`) and sums mu over the
-supersets of a subspace by one popcount per distinct mu value.  A lattice
-of more than LATTICE_BUDGET subspaces is refused before anything is
-enumerated.  Blow-up Poincare polynomials live in even degrees with
-Frobenius q^(m/2) on degree m and are validated against a direct point
-count over F_{q^s}.
+q^m on degree m.  Both routes run on vectors packed into integers
+(`galois.PackedSpace`) and build their tables inside each call.  The
+recursion traces the normals on a hyperplane by one lane-wise add each
+(`PackedSpace.eliminate`) and normalises them through a table of every
+nonzero vector's projective point.  The Moebius route builds the lattice
+layer by layer, each subspace from the one its lower RREF rows span, keys
+its incidences by packed projective points and sums mu over the supersets
+of a subspace by one popcount per distinct mu value.  A lattice of more
+than LATTICE_BUDGET subspaces is refused before anything is enumerated.
+Blow-up Poincare polynomials live in even degrees with Frobenius q^(m/2) on
+degree m and are validated against a direct point count over F_{q^s}.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import product
 
 from .drinfeld import gaussian_binomial
 from .errors import CrossCheckError, EnumerationBudgetError, PreconditionError
-from .galois import GF, PackedSpace, enumerate_subspaces, factor_prime_power
+from .galois import GF, PackedSpace, factor_prime_power
 
 # the most subspaces of F_q^(r+1) the two routes may enumerate; the largest
 # benchmark case, r = 5 over F_2, has 2,825
@@ -38,33 +41,6 @@ def _normalize(gf: GF, vec: tuple):
     return tuple(map(gf.mul_table[gf.inv(lead)].__getitem__, vec))
 
 
-def all_hyperplane_normals(gf: GF, n: int) -> list:
-    """All hyperplanes of P^(n-1) over F_q, as normalized normal vectors:
-    the projective points of F_q^n."""
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    space = PackedSpace(gf, n)
-    return sorted(map(space.unpack, space.points(identity)))
-
-
-def _trace_arrangement(gf: GF, normals: frozenset, h: tuple) -> frozenset:
-    """Restriction of the arrangement to the hyperplane h, as normals in the
-    basis e_j + c_j e_piv (j != piv, c_j = -h_j / h_piv, piv the first
-    nonzero coordinate) of h: coordinate j of lam is lam_j + lam_piv c_j."""
-    add, mul = gf.add_table, gf.mul_table
-    piv = next(i for i, x in enumerate(h) if x)
-    inv = gf.inv(h[piv])
-    coeffs = [(j, gf.neg(mul[x][inv])) for j, x in enumerate(h) if j != piv]
-    out = set()
-    for lam in normals:
-        if lam == h:
-            continue
-        row = mul[lam[piv]]
-        nv = _normalize(gf, tuple([add[lam[j]][row[c]] for j, c in coeffs]))
-        if nv is not None:
-            out.add(nv)
-    return frozenset(out)
-
-
 def _dot(gf: GF, a, b) -> int:
     s = 0
     for x, y in zip(a, b):
@@ -73,55 +49,115 @@ def _dot(gf: GF, a, b) -> int:
     return s
 
 
-def _gysin_betti(gf: GF, r: int, normals: frozenset, memo: dict) -> tuple:
+def _gysin_betti(gf: GF, r: int, normals=None) -> tuple:
     """Betti numbers of P^r minus the union of the given hyperplanes via
-    the split Gysin recursion; purity forces the connecting maps to vanish."""
-    if r == 0:
-        return (1,)
-    if len(normals) <= 1:
-        return (1,)  # complement of one hyperplane is affine r-space
-    key = (r, normals)
-    if key in memo:
-        return memo[key]
-    ordered = sorted(normals)
-    h = ordered[-1]
-    rest = frozenset(ordered[:-1])
-    base = _gysin_betti(gf, r, rest, memo)
-    trace = _trace_arrangement(gf, rest, h)
-    step = _gysin_betti(gf, r - 1, trace, memo)
-    out = list(base) + [0] * (len(step) + 1 - len(base))
-    for m, c in enumerate(step):
-        out[m + 1] += c
-    result = tuple(out)
-    memo[key] = result
-    return result
+    the split Gysin recursion; purity forces the connecting maps to vanish.
+    The normals are packed projective points of `PackedSpace(gf, r + 1)`,
+    all of them by default; the deletion order follows the packed codes,
+    and the trace on h is lam - lam_piv h with h's pivot coordinate piv
+    dropped, normalised by a table."""
+    space = PackedSpace(gf, r + 1)
+    multiples = space.multiples()
+    # every nonzero vector of F_q^m, m <= r + 1, to its projective point
+    point = {m: x for x, ms in multiples.items() for m in ms}
+    memo = {}
+
+    def betti(r: int, normals: frozenset) -> tuple:
+        # delete the largest normal until a known or trivial arrangement is
+        # left, then add the traces back: the stack grows with r, not with
+        # the number of hyperplanes
+        chain = []
+        while r and len(normals) > 1 and (r, normals) not in memo:
+            h = max(normals)
+            chain.append((normals, h))
+            normals = normals - {h}
+        # the complement of one hyperplane is affine r-space
+        result = memo[r, normals] if r and len(normals) > 1 else (1,)
+        for normals, h in reversed(chain):
+            trace = space.eliminate(normals - {h}, h, multiples[h])
+            step = betti(r - 1, frozenset(map(point.__getitem__, trace)))
+            out = list(result) + [0] * (len(step) + 1 - len(result))
+            for m, c in enumerate(step):
+                out[m + 1] += c
+            memo[r, normals] = result = tuple(out)
+        return result
+
+    return betti(r, frozenset(multiples if normals is None else normals))
 
 
 def _mobius_betti(gf: GF, r: int) -> tuple:
     """Betti numbers of the full rational arrangement complement via the
     Moebius function of the intersection lattice (all subspaces of
-    F_q^(r+1)); the projective answer divides the cone polynomial by 1+u."""
+    F_q^(r+1)); the projective answer divides the cone polynomial by 1+u.
+
+    The subspaces are built by increasing dimension.  A k-subspace in RREF
+    is a new leading row, pivot c left of the pivots of the (k-1)-subspace T
+    that its other rows span, so its new projective points are that row
+    plus span(T).  Layer k takes the bits from sum_(j>k) [n, j]_q up, so
+    strict supersets have lower bits; contains[x] is the bitmask of the
+    subspaces holding the packed projective point x."""
     n = r + 1
-    # subspaces in order of codimension, one bit each; contains[x] is the
-    # bitmask of those so far containing the packed projective point x
     space = PackedSpace(gf, n)
-    contains = {}
+    multiples = space.multiples()
+    units = [space.pack([int(i == j) for j in range(n)]) for i in range(n)]
+    sizes = [gaussian_binomial(n, k, gf.q) for k in range(n + 1)]
+    contains = dict.fromkeys(multiples, 0)
+    layers = [[()]]  # each layer's subspaces as their packed RREF rows
+    # the subspaces with pivots >= 1, which can be extended, as (pivots,
+    # rows, span, projective points); the zero subspace has no pivot
+    frontier = [((), (), [0], [])]
+    # pivots (c, ...) -> every first RREF row with pivot c and zeros at the
+    # other pivots
+    leads = {}
+    for k in range(1, n + 1):
+        bit = sum(sizes[k + 1:])
+        layer, extendable = [], []
+        for pivots, rows, span, points in frontier:
+            start = bit
+            for c in range(pivots[0] if pivots else n):
+                key = (c,) + pivots
+                if key not in leads:
+                    vecs = [units[c]]
+                    for j in range(c + 1, n):
+                        if j not in pivots:
+                            vecs = [v for m in [0] + multiples[units[j]]
+                                    for v in space.translate(m, vecs)]
+                    leads[key] = vecs
+                for row in leads[key]:
+                    new = space.translate(row, span)
+                    b = 1 << bit
+                    for x in new:
+                        contains[x] |= b
+                    layer.append((row,) + rows)
+                    if c:
+                        extendable.append((key, layer[-1],
+                                           span + [m for x in new for m in multiples[x]],
+                                           points + new))
+                    bit += 1
+            # the extensions of T hold its points and take the bits from start up
+            run = (1 << bit) - (1 << start)
+            for x in points:
+                contains[x] |= run
+        layers.append(layer)
+        frontier = extendable
+    # mu in order of codimension: the strict supersets of a subspace are
+    # the subspaces of larger dimension that hold all its rows, and their
+    # mu values are known
     by_mu = {}  # mu value -> bitmask of the subspaces with that value
     whitney = [0] * (n + 1)
-    bit = 1
     for k in range(n, -1, -1):
-        for rows in enumerate_subspaces(gf, n, k):
-            # the strict supersets of this subspace all come before it
-            sup = bit - 1
-            for r in rows:
-                sup &= contains.get(space.pack(r), 0)
+        bit = sum(sizes[k + 1:])
+        larger = (1 << bit) - 1
+        above = {x: m & larger for x, m in contains.items()}
+        for rows in layers[k]:
+            sup = larger
+            for x in rows:
+                sup &= above[x]
             mu = 1 if k == n else -sum(m * (sup & mask).bit_count()
                                        for m, mask in by_mu.items())
-            by_mu[mu] = by_mu.get(mu, 0) | bit
+            by_mu[mu] = by_mu.get(mu, 0) | 1 << bit
             whitney[n - k] += abs(mu)
-            for x in space.points(rows):
-                contains[x] = contains.get(x, 0) | bit
-            bit <<= 1
+            bit += 1
     # divide sum |mu| u^codim (degree n) by 1 + u
     quot = [0] * n
     quot[n - 1] = whitney[n]
@@ -148,8 +184,7 @@ def rational_arrangement_poincare(r: int, q: int) -> tuple:
             f"the intersection lattice has {size} subspaces, over the budget "
             f"of {LATTICE_BUDGET}")
     gf = GF(q)
-    normals = frozenset(all_hyperplane_normals(gf, r + 1))
-    gysin = _gysin_betti(gf, r, normals, {})
+    gysin = _gysin_betti(gf, r)
     gysin = tuple(list(gysin) + [0] * (r + 1 - len(gysin)))
     mobius = _mobius_betti(gf, r)
     if gysin != mobius:

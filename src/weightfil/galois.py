@@ -12,7 +12,8 @@ coefficient vectors over F_p in base p, with table-based arithmetic.
 Intended for the desk-scale counting in the arrangement and building
 modules: `GF` refuses q above `GF_MAX_Q` before building any table.
 `PackedSpace` packs those digit vectors into integer lanes, to add vectors
-of F_q^n and list the projective points of a span."""
+of F_q^n, list the projective points of a span and their multiples, and
+project vectors along one coordinate."""
 
 from __future__ import annotations
 
@@ -246,9 +247,6 @@ class GF:
             raise ZeroDivisionError("inverse of 0")
         return self.inv_table[x]
 
-    def neg(self, x):
-        return self.neg_table[x]
-
     def pow(self, x, e):
         out = 1
         for _ in range(e):
@@ -294,16 +292,16 @@ class PackedSpace:
     of the element codes fill n k lanes of w = p.bit_length() + 1 bits, so
     one add and a lane-wise reduction by p add two vectors (SWAR, "SIMD
     within a register", Fisher & Dietz, LCPC 1998).  Packed codes are
-    canonical.  Scaling is not lane-wise when k > 1: the multiples of a row
-    come from the mul table, once per row and instance."""
+    canonical; coordinate i takes the bits from i width up, so a vector of
+    F_q^m, m < n, packs as its extension by zeros.  Scaling is not lane-wise
+    when k > 1: multiples come from the mul table."""
 
     def __init__(self, gf: GF, n: int):
         w = gf.p.bit_length() + 1
         ones = sum(1 << w * t for t in range(n * gf.k))
         self.gf, self.n, self.width = gf, n, w * gf.k  # bits per coordinate
         self._spread = [sum(d << w * t for t, d in enumerate(ds)) for ds in gf._dig]
-        self._code = {s: x for x, s in enumerate(self._spread)}
-        self._reduce = (ones * ((1 << w - 1) - gf.p), w - 1, ones)
+        self._reduce = (ones * ((1 << w - 1) - gf.p), w - 1, ones, gf.p)
         self._multiples = {}
 
     def pack(self, vec) -> int:
@@ -312,15 +310,10 @@ class PackedSpace:
             out = out << self.width | self._spread[x]
         return out
 
-    def unpack(self, code: int) -> tuple:
-        mask = (1 << self.width) - 1
-        return tuple(self._code[code >> self.width * i & mask] for i in range(self.n))
-
     def points(self, rows: tuple) -> list:
         """The projective points of the span of the RREF rows, packed, each
         once: one leading row plus any combination of the rows below it."""
-        bias, shift, ones = self._reduce
-        p, mul, memo = self.gf.p, self.gf.mul_table, self._multiples
+        mul, memo = self.gf.mul_table, self._multiples
         points = []
         below = [0]  # span of the rows below
         for i in range(len(rows) - 1, -1, -1):
@@ -330,8 +323,47 @@ class PackedSpace:
             # c row_i + v, v in below: c = 1 gives the points led by row i
             # and all c give span(rows[i:])
             cs = memo[rows[i]] if i else memo[rows[i]][:1]
-            shifted = [s - ((s + bias) >> shift & ones) * p
-                       for m in cs for v in below for s in (m + v,)]
+            shifted = [y for m in cs for y in self.translate(m, below)]
             points += shifted[:len(below)]
             below += shifted
         return points
+
+    def multiples(self) -> dict:
+        """Every projective point of F_q^n, packed, to its multiples c x,
+        c = 1, ..., q - 1 in order; this covers F_q^m, m < n, as well.  The
+        coordinates scale apart: c x is the sum of the packed c x_i e_i."""
+        q, w, mul, spread = self.gf.q, self.width, self.gf.mul_table, self._spread
+        out = {}
+        tails = [[0] * (q - 1)]  # the multiples of each vector on coordinates > i
+        for i in range(self.n - 1, -1, -1):
+            # the packed c a e_i, c = 1, ..., q - 1, for each element a
+            lanes = [[spread[mul[c][a]] << w * i for c in range(1, q)] for a in range(q)]
+            for t in tails:  # the points with first nonzero coordinate i
+                ms = [x + y for x, y in zip(lanes[1], t)]
+                out[ms[0]] = ms
+            if i:
+                tails = [[x + y for x, y in zip(lane, t)] for lane in lanes for t in tails]
+        return out
+
+    def translate(self, x: int, vectors) -> list:
+        """The packed x + v for each packed v in vectors: one add and one
+        lane-wise reduction by p each (SWAR)."""
+        bias, shift, ones, p = self._reduce
+        return [s - ((s + bias) >> shift & ones) * p for v in vectors for s in (x + v,)]
+
+    def eliminate(self, vectors, h: int, multiples: list) -> list:
+        """The packed x - x_i h for each packed x in vectors, with coordinate
+        i dropped: i is the first nonzero coordinate of h, h_i = 1, and
+        multiples lists c h for c = 1, ..., q - 1."""
+        w = self.width
+        t = ((h & -h).bit_length() - 1) // w * w  # coordinate i's lowest bit
+        low, lane = (1 << t) - 1, (1 << w) - 1
+        neg = self.gf.neg_table
+        # the lane of x_i -> -x_i h with coordinate i dropped
+        minus = {0: 0}
+        for c in range(1, self.gf.q):
+            m = multiples[neg[c] - 1]
+            minus[multiples[c - 1] >> t & lane] = m & low | m >> t + w << t
+        bias, shift, ones, p = self._reduce
+        return [s - ((s + bias) >> shift & ones) * p for x in vectors
+                for s in ((x & low | x >> t + w << t) + minus[x >> t & lane],)]

@@ -114,11 +114,18 @@ def _items(obj, what: str):
 
 
 def _int_items(obj, what: str) -> list:
-    """The (key, value) pairs of a JSON object whose keys are integers."""
-    try:
-        return [(int(k), v) for k, v in _items(obj, what)]
-    except ValueError as e:
-        raise SchemaError(f"{what}: keys must be integers") from e
+    """The (key, value) pairs of a JSON object whose keys are integers, no
+    two the same integer."""
+    keys = {}
+    for k, _ in _items(obj, what):
+        try:
+            n = int(k)
+        except ValueError as e:
+            raise SchemaError(f"{what}: keys must be integers") from e
+        if n in keys:
+            raise SchemaError(f"{what}: keys {keys[n]!r} and {k!r} are both {n}")
+        keys[n] = k
+    return [(n, obj[k]) for n, k in keys.items()]
 
 
 def _parse_int(x, what: str, minimum=None) -> int:

@@ -1,14 +1,107 @@
 import random
+import sys
+from functools import cache, partial
 from itertools import product
 
 import pytest
 
+from weightfil import arrangements, galois
 from weightfil.arrangements import (_dot, _gysin_betti, _mobius_betti, _normalize,
-                                    _trace_arrangement, all_hyperplane_normals,
                                     blowup_poincare, point_count_oracle,
                                     rational_arrangement_poincare)
+from weightfil.drinfeld import gaussian_binomial
 from weightfil.errors import PreconditionError
-from weightfil.galois import GF, PackedSpace, enumerate_subspaces
+from weightfil.galois import GF, PackedSpace, enumerate_subspaces, factor_prime_power
+
+
+@cache
+def _lane_codes(gf):
+    """Each packed coordinate of F_q^n -> its element of F_q."""
+    space = PackedSpace(gf, 1)
+    return {space.pack([x]): x for x in range(gf.q)}
+
+
+def unpack(space, code):
+    """The coordinates of a packed vector: the inverse of space.pack."""
+    lanes, mask = _lane_codes(space.gf), (1 << space.width) - 1
+    return tuple(lanes[code >> space.width * i & mask] for i in range(space.n))
+
+
+def all_hyperplane_normals(gf, n):
+    """All hyperplanes of P^(n-1) over F_q, as normalized normal vectors:
+    the projective points of F_q^n."""
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    space = PackedSpace(gf, n)
+    return sorted(map(partial(unpack, space), space.points(identity)))
+
+
+def _trace_arrangement(gf, normals, h):
+    """Restriction of the arrangement to the hyperplane h, as normals in the
+    basis e_j + c_j e_piv (j != piv, c_j = -h_j / h_piv, piv the first
+    nonzero coordinate) of h: coordinate j of lam is lam_j + lam_piv c_j.
+    The tuple kernel the Gysin route used before packed normals."""
+    add, mul = gf.add_table, gf.mul_table
+    piv = next(i for i, x in enumerate(h) if x)
+    inv = gf.inv(h[piv])
+    coeffs = [(j, gf.neg_table[mul[x][inv]]) for j, x in enumerate(h) if j != piv]
+    out = set()
+    for lam in normals:
+        if lam == h:
+            continue
+        row = mul[lam[piv]]
+        nv = _normalize(gf, tuple([add[lam[j]][row[c]] for j, c in coeffs]))
+        if nv is not None:
+            out.add(nv)
+    return frozenset(out)
+
+
+def _gysin_tuple_oracle(gf, r, normals, memo):
+    """The Gysin route on tuple normals, deleting the largest tuple first:
+    _gysin_betti before packed normals."""
+    if r == 0:
+        return (1,)
+    if len(normals) <= 1:
+        return (1,)  # complement of one hyperplane is affine r-space
+    key = (r, normals)
+    if key in memo:
+        return memo[key]
+    ordered = sorted(normals)
+    h = ordered[-1]
+    rest = frozenset(ordered[:-1])
+    base = _gysin_tuple_oracle(gf, r, rest, memo)
+    trace = _trace_arrangement(gf, rest, h)
+    step = _gysin_tuple_oracle(gf, r - 1, trace, memo)
+    out = list(base) + [0] * (len(step) + 1 - len(base))
+    for m, c in enumerate(step):
+        out[m + 1] += c
+    result = tuple(out)
+    memo[key] = result
+    return result
+
+
+def _mobius_points_oracle(gf, r):
+    """The Moebius route with every subspace from enumerate_subspaces and
+    its points from PackedSpace.points: _mobius_betti before the layer by
+    layer lattice."""
+    n = r + 1
+    space = PackedSpace(gf, n)
+    contains = {}
+    by_mu = {}  # mu value -> bitmask of the subspaces with that value
+    whitney = [0] * (n + 1)
+    bit = 1
+    for k in range(n, -1, -1):
+        for rows in enumerate_subspaces(gf, n, k):
+            sup = bit - 1
+            for row in rows:
+                sup &= contains.get(space.pack(row), 0)
+            mu = 1 if k == n else -sum(m * (sup & mask).bit_count()
+                                       for m, mask in by_mu.items())
+            by_mu[mu] = by_mu.get(mu, 0) | bit
+            whitney[n - k] += abs(mu)
+            for x in space.points(rows):
+                contains[x] = contains.get(x, 0) | bit
+            bit <<= 1
+    return _quotient_by_one_plus_u(whitney)
 
 
 def gf_span_vectors(gf, basis, n):
@@ -65,7 +158,7 @@ def _hyperplane_basis(gf, normal):
         v = [0] * n
         v[j] = 1
         # adjust pivot coordinate so normal . v = 0
-        v[piv] = gf.neg(gf.mul(normal[j], gf.inv(normal[piv])))
+        v[piv] = gf.neg_table[gf.mul(normal[j], gf.inv(normal[piv]))]
         rows.append(v)
     return rows
 
@@ -206,20 +299,105 @@ def test_packed_points_match_tuple_oracle():
                 subs = enumerate_subspaces(gf, n, k)
                 for rows in subs if len(subs) < 300 else random.Random(q).sample(subs, 300):
                     packed = space.points(rows)
-                    assert [space.unpack(x) for x in packed] == _projective_points(gf, rows)
-                    assert all(space.pack(space.unpack(x)) == x for x in packed)
+                    assert [unpack(space, x) for x in packed] == _projective_points(gf, rows)
+                    assert all(space.pack(unpack(space, x)) == x for x in packed)
 
 
 def test_trace_matches_basis_dot_oracle():
+    # the packed trace (PackedSpace.eliminate, then the projective-point
+    # table _gysin_betti builds) and the tuple trace on seeded subsets; for
+    # q = 4, 8, 9, 16 scaling is not lane-wise
     rng = random.Random(22)
-    for r, q in ((2, 2), (2, 3), (3, 2), (3, 4), (2, 9)):
+    for r, q in ((1, 2), (2, 2), (2, 3), (3, 2), (3, 4), (2, 8), (2, 9), (1, 16), (4, 3)):
         gf = GF(q)
         normals = all_hyperplane_normals(gf, r + 1)
-        subs = [frozenset(normals)] + [
-            frozenset(rng.sample(normals, rng.randint(1, len(normals)))) for _ in range(5)]
+        space = PackedSpace(gf, r + 1)
+        multiples = space.multiples()
+        point = {m: x for x, ms in multiples.items() for m in ms}
+        subs = [normals] + [rng.sample(normals, rng.randint(1, len(normals))) for _ in range(5)]
         for sub in subs:
             for h in normals:
-                assert _trace_arrangement(gf, sub, h) == _trace_oracle(gf, sub, h), (r, q, h)
+                expected = _trace_oracle(gf, sub, h)
+                assert _trace_arrangement(gf, frozenset(sub), h) == expected, (r, q, h)
+                packed = space.eliminate([space.pack(x) for x in sub if x != h], space.pack(h),
+                                         multiples[space.pack(h)])
+                # a trace is a normal of F_q^r, packed as its extension by a zero
+                assert {unpack(space, point[x]) for x in packed} == {
+                    x + (0,) for x in expected}, (r, q, h)
+
+
+def test_gysin_matches_tuple_oracle_on_subarrangements():
+    rng = random.Random(27)
+    for r, q in ((1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (2, 9), (3, 3)):
+        gf = GF(q)
+        normals = all_hyperplane_normals(gf, r + 1)
+        space = PackedSpace(gf, r + 1)
+        for _ in range(6):
+            sub = rng.sample(normals, rng.randint(1, len(normals)))
+            assert (_gysin_betti(gf, r, [space.pack(x) for x in sub])
+                    == _gysin_tuple_oracle(gf, r, frozenset(sub), {})), (r, q, sub)
+
+
+def _lattice_size(r, q):
+    return sum(gaussian_binomial(r + 1, k, q) for k in range(r + 2))
+
+
+def test_routes_match_tuple_oracles():
+    # every (r, q) whose lattice has at most 3,000 subspaces: r = 1 for
+    # every field up to GF_MAX_Q, and the q = 4, 8, 9, 16 whose scaling is
+    # not lane-wise
+    cases = [(r, q) for r in range(1, 6) for q in range(2, galois.GF_MAX_Q + 1)
+             if _lattice_size(r, q) <= 3000 and _prime_power(q)]
+    assert {(1, 256), (2, 16), (3, 4), (2, 8), (2, 9), (4, 3), (5, 2)} <= set(cases)
+    limit = sys.getrecursionlimit()
+    for r, q in cases:
+        gf = GF(q)
+        # the packed routes under the default recursion limit: r = 2 over
+        # F_37 deletes 1,407 hyperplanes, but the stack grows with r only
+        routes = (_gysin_betti(gf, r), _mobius_betti(gf, r))
+        normals = frozenset(all_hyperplane_normals(gf, r + 1))
+        sys.setrecursionlimit(10_000)  # the tuple recursion is as deep as there are normals
+        try:
+            assert routes == (_gysin_tuple_oracle(gf, r, normals, {}),
+                              _mobius_points_oracle(gf, r)), (r, q)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def _prime_power(q):
+    try:
+        factor_prime_power(q)
+    except PreconditionError:
+        return False
+    return True
+
+
+def test_routes_make_no_tuple_calls(monkeypatch):
+    calls = []
+
+    def counted(real):
+        return lambda *args: calls.append(real.__name__) or real(*args)
+
+    monkeypatch.setattr(galois, "enumerate_subspaces", counted(galois.enumerate_subspaces))
+    # also under the name arrangements would import it by
+    monkeypatch.setattr(arrangements, "enumerate_subspaces", galois.enumerate_subspaces,
+                        raising=False)
+    monkeypatch.setattr(arrangements, "_normalize", counted(arrangements._normalize))
+    for r, q in ((2, 3), (3, 4), (4, 2)):
+        gf = GF(q)
+        _mobius_betti(gf, r)
+        _gysin_betti(gf, r)
+    assert calls == []
+
+
+def test_each_route_runs_once_per_report(monkeypatch):
+    calls = []
+    for name in ("_gysin_betti", "_mobius_betti"):
+        real = getattr(arrangements, name)
+        monkeypatch.setattr(arrangements, name,
+                            lambda *args, real=real: calls.append(real.__name__) or real(*args))
+    assert rational_arrangement_poincare(3, 3) == (1, 39, 351, 729)
+    assert sorted(calls) == ["_gysin_betti", "_mobius_betti"]
 
 
 def test_arrangement_closed_form():
@@ -246,12 +424,18 @@ def test_span_matches_coefficient_oracle():
 
 def test_hyperplane_count():
     gf = GF(3)
-    assert len(all_hyperplane_normals(gf, 3)) == 13  # (q^3-1)/(q-1)
-    # the normalized nonzero vectors of F_q^n, each once, in sorted order
-    for q, n in ((2, 1), (2, 4), (3, 3), (4, 3), (9, 2)):
+    assert len(PackedSpace(gf, 3).multiples()) == 13  # (q^3-1)/(q-1)
+    # the normalized nonzero vectors of F_q^n, each once, and their multiples
+    for q, n in ((2, 1), (2, 4), (3, 3), (4, 3), (9, 2), (16, 2)):
         gf = GF(q)
+        space = PackedSpace(gf, n)
+        multiples = space.multiples()
         vectors = {_normalize(gf, v) for v in product(range(q), repeat=n)} - {None}
-        assert all_hyperplane_normals(gf, n) == sorted(vectors), (q, n)
+        assert sorted(map(partial(unpack, space), multiples)) == sorted(vectors) == \
+            all_hyperplane_normals(gf, n), (q, n)
+        for x, ms in multiples.items():
+            assert [unpack(space, m) for m in ms] == [
+                tuple(gf.mul(c, a) for a in unpack(space, x)) for c in range(1, q)], (q, x)
 
 
 def test_point_count_identity_arrangements():
@@ -316,6 +500,6 @@ def test_gysin_memo_subarrangements():
     # sub-arrangement of the line against a direct count
     gf = GF(3)
     normals = all_hyperplane_normals(gf, 2)
-    sub = frozenset(list(normals)[:2])   # two points removed from P^1
-    betti = _gysin_betti(gf, 1, sub, {})
+    sub = list(normals)[:2]   # two points removed from P^1
+    betti = _gysin_betti(gf, 1, [PackedSpace(gf, 2).pack(x) for x in sub])
     assert betti == (1, 1)  # P^1 minus two points is the multiplicative line

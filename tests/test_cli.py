@@ -323,6 +323,20 @@ def test_schema_error_repeated_nerve_key(tmp_path, payload, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("cmd,payload,message", [
+    ("ss-cech", {"schema": 1, "components": ["a", "b"], "restrictions": {},
+                 "strata": {"a": {"0": 1, "00": 2}, "b": {"0": 1}}},
+     b"nerve strata[a]: keys '0' and '00' are both 0"),
+    ("ss-pages", {"schema": 1, "spaces": {"0": 1, "+0": 2}},
+     b"spaces: keys '0' and '+0' are both 0")],
+    ids=["cech_strata", "pages_spaces"])
+def test_schema_error_repeated_integer_key(tmp_path, cmd, payload, message):
+    # two keys that parse to one integer: neither may silently win
+    res = run_cli([cmd], path=write(tmp_path, "k.json", payload))
+    assert_schema_error(res)
+    assert message in res.stderr, res.stderr
+
+
 def test_schema_error_fractional_filtration_index(tmp_path):
     # F(0) must be the full space below the smallest listed index
     for key in ("fil", "gamma_fil"):
@@ -434,6 +448,21 @@ def test_ss_steenbrink_routes_disagreeing_exit_3(tmp_path, monkeypatch, capsys, 
     monkeypatch.setattr(steenbrink, route, corrupt(getattr(steenbrink, route)))
     assert cli.main(["ss-steenbrink", str(write(tmp_path, "s.json", CYCLE3_STEENBRINK))]) == 3
     assert "cross-check failure: H^" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["_gysin_betti", "_mobius_betti"])
+def test_drinfeld_arrangement_routes_disagreeing_exit_3(monkeypatch, capsys, route):
+    # the Gysin and Moebius Betti numbers are compared in every report
+    from weightfil import arrangements, cli
+    real = getattr(arrangements, route)
+
+    def perturbed(*args):
+        betti = real(*args)
+        return betti[:-1] + (betti[-1] + 1,)
+
+    monkeypatch.setattr(arrangements, route, perturbed)
+    assert cli.main(["drinfeld-arrangement", "--r", "2", "--q", "3"]) == 3
+    assert "cross-check failure: arrangement method disagreement" in capsys.readouterr().err
 
 
 def test_phin_analyze_decides_admissibility_once(tmp_path, monkeypatch, capsys):
